@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use wnoc_core::Result;
 use wnoc_sim::LatencyStats;
 
+use crate::fleet::escape;
 use crate::scenario::{FlowSetCache, Scenario, ScenarioOutcome, TightnessSummary};
 
 /// The sampling space of a campaign.
@@ -400,9 +401,6 @@ impl ConformanceReport {
     /// (the vendored serde shim has no serializer); per-scenario entries
     /// carry enough to diagnose a regression from the run page alone.
     pub fn render_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::new();
         let observed = self.observed();
         let tightness = self.tightness();

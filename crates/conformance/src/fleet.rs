@@ -6,10 +6,13 @@
 //! process ([`Fleet::run_with`] spawns them; [`Fleet::run_shard`] is the
 //! worker entry point) and commits two files to the campaign directory:
 //!
-//! * `shard-NNN.partial.json` — the shard's [`PartialReport`]: every
-//!   [`ScenarioOutcome`] of its index range, serialized losslessly (floats as
-//!   IEEE-754 bit patterns, so rendering the merged report reproduces the
-//!   single-process bytes exactly);
+//! * `shard-NNN.partial.json` — the shard's [`PartialReport`]: the measured
+//!   fields of every [`ScenarioOutcome`] of its index range, keyed by
+//!   scenario index (floats as IEEE-754 bit patterns, so rendering the
+//!   merged report reproduces the single-process bytes exactly).  The
+//!   scenarios themselves are not stored: the parser regenerates each one
+//!   with [`Campaign::scenario`] and checks them against the header's
+//!   `scenario_digest`;
 //! * `shard-NNN.manifest.json` — the commit record: the campaign's config
 //!   hash, the shard's range, and an FNV-1a digest of the partial file's
 //!   bytes.
@@ -40,40 +43,18 @@ use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::{Duration, Instant};
 
-use wnoc_core::{Coord, Error, FlowId, NodeId, Result};
+use wnoc_core::{Error, FlowId, Result};
 use wnoc_sim::LatencyStats;
 
 use crate::campaign::{Campaign, CampaignDimension, ConformanceReport};
-use wnoc_core::vc::VcAssignment;
+use crate::scenario::{Scenario, ScenarioOutcome, TightnessSummary, Violation};
 
-use crate::scenario::{
-    BufferChoice, DesignChoice, FaultChoice, Scenario, ScenarioFamily, ScenarioOutcome,
-    TightnessSummary, TrafficChoice, VcChoice, Violation,
-};
-
-/// Format tag embedded in every checkpoint artifact; bump on any codec
-/// change so stale checkpoints are rejected instead of misparsed.  v3 added
-/// the scenario `traffic` field (the bursty arrival-curve dimension).
-///
-/// The version is **dimension-dependent** (see [`format_version`]): v4 adds
-/// the optional scenario `faults` field, which only the fault-sweep
-/// dimension emits, so every legacy dimension keeps writing — and hashing —
-/// the v3 tag and its existing checkpoints and goldens stay byte-identical.
-pub const FORMAT_VERSION: &str = "wnoc-fleet/v3";
-
-/// Format tag of dimensions whose scenarios carry fault plans.
-pub const FORMAT_VERSION_V4: &str = "wnoc-fleet/v4";
-
-/// The checkpoint format version a campaign dimension writes: v4 for the
-/// fault sweep (its scenarios serialize a `faults` field), v3 for every
-/// legacy dimension.  Shard *manifests* stay at v3 unconditionally — they
-/// carry no scenario payload, only hashes and ranges.
-pub fn format_version(dimension: CampaignDimension) -> &'static str {
-    match dimension {
-        CampaignDimension::FaultSweep => FORMAT_VERSION_V4,
-        _ => FORMAT_VERSION,
-    }
-}
+/// Format tag embedded in every checkpoint artifact (partials, manifests
+/// and `campaign.json`) and hashed into [`config_hash`]; bump on any codec
+/// change so stale checkpoints are rejected instead of misparsed.  v5
+/// stores each outcome's index and measured fields only, never the
+/// scenario, so a new campaign dimension needs no codec change.
+pub const FORMAT_VERSION: &str = "wnoc-fleet/v5";
 
 /// Test-only fault-injection hook: when this environment variable is set to
 /// a millisecond count, [`Fleet::run_shard`] stalls for that long after
@@ -177,8 +158,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn config_hash(campaign: &Campaign) -> u64 {
     fnv1a(
         format!(
-            "{} dimension={} seed={} scenarios={}",
-            format_version(campaign.dimension),
+            "{FORMAT_VERSION} dimension={} seed={} scenarios={}",
             campaign.dimension.tag(),
             campaign.seed,
             campaign.scenarios
@@ -246,9 +226,10 @@ impl Json {
     }
 }
 
-/// Escapes a string for embedding in the checkpoint JSON: backslash, quote,
-/// and control characters (the parser understands exactly these escapes).
-fn escape(s: &str) -> String {
+/// Escapes a string for embedding in JSON: backslash, quote, and control
+/// characters (the checkpoint parser understands exactly these escapes).
+/// Shared with [`ConformanceReport::render_json`].
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for ch in s.chars() {
         match ch {
@@ -263,14 +244,26 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest object/array nesting the parser accepts.  The closed format
+/// nests five levels (partial → outcomes → outcome → violations →
+/// violation); the cap turns a crafted deeply nested file into a
+/// [`Error::CorruptCheckpoint`] instead of a stack overflow.
+const MAX_DEPTH: usize = 16;
+
 struct JsonParser<'a> {
     text: &'a str,
     pos: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { text, pos: 0 }
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn error(&self, message: &str) -> String {
@@ -302,13 +295,27 @@ impl<'a> JsonParser<'a> {
     fn parse_value(&mut self) -> std::result::Result<Json, String> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => self.parse_string().map(Json::Str),
             Some(b'0'..=b'9') => self.parse_uint(),
             Some(b't') | Some(b'f') => self.parse_bool(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> std::result::Result<Json, String>,
+    ) -> std::result::Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> std::result::Result<Json, String> {
@@ -484,311 +491,21 @@ fn field_array<'a>(value: &'a Json, key: &str, path: &Path) -> Result<&'a [Json]
 }
 
 // ---------------------------------------------------------------------------
-// Scenario / outcome codec
+// Outcome codec
 // ---------------------------------------------------------------------------
 
-fn render_coord(coord: Coord) -> String {
-    format!("[{},{}]", coord.x, coord.y)
-}
-
-fn parse_coord(value: &Json, path: &Path) -> Result<Coord> {
-    let items = value
-        .as_array()
-        .filter(|items| items.len() == 2)
-        .ok_or_else(|| corrupt(path, "coordinate is not a two-element array"))?;
-    let component = |item: &Json| {
-        item.as_u64()
-            .and_then(|v| u16::try_from(v).ok())
-            .ok_or_else(|| corrupt(path, "coordinate component out of range"))
-    };
-    Ok(Coord::new(component(&items[0])?, component(&items[1])?))
-}
-
-fn render_coords(coords: &[Coord]) -> String {
-    let items: Vec<String> = coords.iter().map(|&c| render_coord(c)).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn parse_coords(items: &[Json], path: &Path) -> Result<Vec<Coord>> {
-    items.iter().map(|item| parse_coord(item, path)).collect()
-}
-
-fn render_family(family: &ScenarioFamily) -> String {
-    match family {
-        ScenarioFamily::AllToOne { hotspot } => {
-            format!(
-                "{{\"kind\":\"all-to-one\",\"hotspot\":{}}}",
-                render_coord(*hotspot)
-            )
-        }
-        ScenarioFamily::OneToAll { source } => {
-            format!(
-                "{{\"kind\":\"one-to-all\",\"source\":{}}}",
-                render_coord(*source)
-            )
-        }
-        ScenarioFamily::Endpoints { memories } => {
-            format!(
-                "{{\"kind\":\"endpoints\",\"memories\":{}}}",
-                render_coords(memories)
-            )
-        }
-        ScenarioFamily::RandomPairs { pairs } => {
-            let items: Vec<String> = pairs
-                .iter()
-                .map(|(src, dst)| format!("[{},{}]", src.0, dst.0))
-                .collect();
-            format!(
-                "{{\"kind\":\"random-pairs\",\"pairs\":[{}]}}",
-                items.join(",")
-            )
-        }
-        ScenarioFamily::Placement {
-            name,
-            memory,
-            cores,
-        } => {
-            format!(
-                "{{\"kind\":\"placement\",\"name\":\"{}\",\"memory\":{},\"cores\":{}}}",
-                escape(name),
-                render_coord(*memory),
-                render_coords(cores)
-            )
-        }
+/// FNV-1a over the `Debug` renderings of `scenarios`, one per line: the
+/// partial header's `scenario_digest`.  Scenarios are not serialized — the
+/// parser regenerates each one from its index — so this digest is what
+/// catches a sampler that changed between the worker that wrote a shard and
+/// the process that merges it.  (`Scenario::label` is not enough: it omits
+/// random-pair endpoints and placement cores.)
+fn scenario_digest<'a>(scenarios: impl IntoIterator<Item = &'a Scenario>) -> u64 {
+    let mut text = String::new();
+    for scenario in scenarios {
+        text.push_str(&format!("{scenario:?}\n"));
     }
-}
-
-fn parse_family(value: &Json, path: &Path) -> Result<ScenarioFamily> {
-    match field_str(value, "kind", path)? {
-        "all-to-one" => Ok(ScenarioFamily::AllToOne {
-            hotspot: parse_coord(field(value, "hotspot", path)?, path)?,
-        }),
-        "one-to-all" => Ok(ScenarioFamily::OneToAll {
-            source: parse_coord(field(value, "source", path)?, path)?,
-        }),
-        "endpoints" => Ok(ScenarioFamily::Endpoints {
-            memories: parse_coords(field_array(value, "memories", path)?, path)?,
-        }),
-        "random-pairs" => {
-            let pairs = field_array(value, "pairs", path)?
-                .iter()
-                .map(|item| {
-                    let ends = item
-                        .as_array()
-                        .filter(|ends| ends.len() == 2)
-                        .ok_or_else(|| corrupt(path, "flow pair is not a two-element array"))?;
-                    let node = |end: &Json| {
-                        end.as_usize()
-                            .map(NodeId)
-                            .ok_or_else(|| corrupt(path, "flow endpoint is not a node id"))
-                    };
-                    Ok((node(&ends[0])?, node(&ends[1])?))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(ScenarioFamily::RandomPairs { pairs })
-        }
-        "placement" => Ok(ScenarioFamily::Placement {
-            name: field_str(value, "name", path)?.to_string(),
-            memory: parse_coord(field(value, "memory", path)?, path)?,
-            cores: parse_coords(field_array(value, "cores", path)?, path)?,
-        }),
-        unknown => Err(corrupt(path, format!("unknown family kind \"{unknown}\""))),
-    }
-}
-
-fn render_design(design: &DesignChoice) -> String {
-    match design {
-        DesignChoice::Regular { max_packet_flits } => {
-            format!("{{\"kind\":\"regular\",\"max_packet_flits\":{max_packet_flits}}}")
-        }
-        DesignChoice::WawWap => "{\"kind\":\"waw-wap\"}".to_string(),
-    }
-}
-
-fn parse_design(value: &Json, path: &Path) -> Result<DesignChoice> {
-    match field_str(value, "kind", path)? {
-        "regular" => {
-            let flits = field_u64(value, "max_packet_flits", path)?;
-            let max_packet_flits =
-                u32::try_from(flits).map_err(|_| corrupt(path, "max_packet_flits out of range"))?;
-            Ok(DesignChoice::Regular { max_packet_flits })
-        }
-        "waw-wap" => Ok(DesignChoice::WawWap),
-        unknown => Err(corrupt(path, format!("unknown design kind \"{unknown}\""))),
-    }
-}
-
-fn render_buffers(buffers: &BufferChoice) -> String {
-    match buffers {
-        BufferChoice::Default => "{\"kind\":\"default\"}".to_string(),
-        BufferChoice::Uniform { depth } => {
-            format!("{{\"kind\":\"uniform\",\"depth\":{depth}}}")
-        }
-        BufferChoice::Heterogeneous { seed } => {
-            format!("{{\"kind\":\"heterogeneous\",\"seed\":{seed}}}")
-        }
-    }
-}
-
-fn parse_buffers(value: &Json, path: &Path) -> Result<BufferChoice> {
-    match field_str(value, "kind", path)? {
-        "default" => Ok(BufferChoice::Default),
-        "uniform" => {
-            let depth = field_u64(value, "depth", path)?;
-            let depth =
-                u32::try_from(depth).map_err(|_| corrupt(path, "buffer depth out of range"))?;
-            Ok(BufferChoice::Uniform { depth })
-        }
-        "heterogeneous" => Ok(BufferChoice::Heterogeneous {
-            seed: field_u64(value, "seed", path)?,
-        }),
-        unknown => Err(corrupt(path, format!("unknown buffer kind \"{unknown}\""))),
-    }
-}
-
-fn render_vcs(vcs: &VcChoice) -> String {
-    match vcs {
-        VcChoice::Default => "{\"kind\":\"default\"}".to_string(),
-        VcChoice::Count { count, assignment } => {
-            format!(
-                "{{\"kind\":\"count\",\"count\":{count},\"assignment\":\"{}\"}}",
-                assignment.tag()
-            )
-        }
-    }
-}
-
-fn parse_vcs(value: &Json, path: &Path) -> Result<VcChoice> {
-    match field_str(value, "kind", path)? {
-        "default" => Ok(VcChoice::Default),
-        "count" => {
-            let count = field_u64(value, "count", path)?;
-            let count = u32::try_from(count).map_err(|_| corrupt(path, "VC count out of range"))?;
-            let assignment = match field_str(value, "assignment", path)? {
-                "idx" => VcAssignment::FlowIndex,
-                "dist" => VcAssignment::Distance,
-                unknown => {
-                    return Err(corrupt(
-                        path,
-                        format!("unknown VC assignment \"{unknown}\""),
-                    ))
-                }
-            };
-            Ok(VcChoice::Count { count, assignment })
-        }
-        unknown => Err(corrupt(path, format!("unknown VC kind \"{unknown}\""))),
-    }
-}
-
-fn render_traffic(traffic: &TrafficChoice) -> String {
-    match traffic {
-        TrafficChoice::ClosedLoop => "{\"kind\":\"closed-loop\"}".to_string(),
-        TrafficChoice::Bursty { burst, gap, cv } => {
-            format!("{{\"kind\":\"bursty\",\"burst\":{burst},\"gap\":{gap},\"cv\":{cv}}}")
-        }
-    }
-}
-
-fn parse_traffic(value: &Json, path: &Path) -> Result<TrafficChoice> {
-    match field_str(value, "kind", path)? {
-        "closed-loop" => Ok(TrafficChoice::ClosedLoop),
-        "bursty" => {
-            let component = |key: &str| -> Result<u32> {
-                let raw = field_u64(value, key, path)?;
-                u32::try_from(raw).map_err(|_| corrupt(path, format!("{key} out of range")))
-            };
-            Ok(TrafficChoice::Bursty {
-                burst: component("burst")?,
-                gap: component("gap")?,
-                cv: component("cv")?,
-            })
-        }
-        unknown => Err(corrupt(path, format!("unknown traffic kind \"{unknown}\""))),
-    }
-}
-
-fn render_faults(faults: &FaultChoice) -> String {
-    match faults {
-        FaultChoice::None => "{\"kind\":\"none\"}".to_string(),
-        FaultChoice::Links {
-            count,
-            seed,
-            activation,
-        } => format!(
-            "{{\"kind\":\"links\",\"count\":{count},\"seed\":{seed},\"activation\":{activation}}}"
-        ),
-        FaultChoice::Router { seed, activation } => {
-            format!("{{\"kind\":\"router\",\"seed\":{seed},\"activation\":{activation}}}")
-        }
-    }
-}
-
-fn parse_faults(value: &Json, path: &Path) -> Result<FaultChoice> {
-    match field_str(value, "kind", path)? {
-        "none" => Ok(FaultChoice::None),
-        "links" => {
-            let count = field_u64(value, "count", path)?;
-            Ok(FaultChoice::Links {
-                count: u32::try_from(count)
-                    .map_err(|_| corrupt(path, "fault count out of range"))?,
-                seed: field_u64(value, "seed", path)?,
-                activation: field_u64(value, "activation", path)?,
-            })
-        }
-        "router" => Ok(FaultChoice::Router {
-            seed: field_u64(value, "seed", path)?,
-            activation: field_u64(value, "activation", path)?,
-        }),
-        unknown => Err(corrupt(path, format!("unknown fault kind \"{unknown}\""))),
-    }
-}
-
-fn render_scenario(scenario: &Scenario) -> String {
-    // The `faults` field is emitted only when present (v4): every legacy
-    // dimension samples `FaultChoice::None`, so its checkpoints — and the
-    // goldens hashed over them — remain byte-identical to v3.
-    let faults = if scenario.faults.is_none() {
-        String::new()
-    } else {
-        format!(",\"faults\":{}", render_faults(&scenario.faults))
-    };
-    format!(
-        "{{\"index\":{},\"seed\":{},\"side\":{},\"family\":{},\"design\":{},\
-         \"message_flits\":{},\"cycles\":{},\"buffers\":{},\"vcs\":{},\"traffic\":{}{}}}",
-        scenario.index,
-        scenario.seed,
-        scenario.side,
-        render_family(&scenario.family),
-        render_design(&scenario.design),
-        scenario.message_flits,
-        scenario.cycles,
-        render_buffers(&scenario.buffers),
-        render_vcs(&scenario.vcs),
-        render_traffic(&scenario.traffic),
-        faults
-    )
-}
-
-fn parse_scenario(value: &Json, path: &Path) -> Result<Scenario> {
-    let side = field_u64(value, "side", path)?;
-    let message_flits = field_u64(value, "message_flits", path)?;
-    Ok(Scenario {
-        index: field_usize(value, "index", path)?,
-        seed: field_u64(value, "seed", path)?,
-        side: u16::try_from(side).map_err(|_| corrupt(path, "mesh side out of range"))?,
-        family: parse_family(field(value, "family", path)?, path)?,
-        design: parse_design(field(value, "design", path)?, path)?,
-        message_flits: u32::try_from(message_flits)
-            .map_err(|_| corrupt(path, "message_flits out of range"))?,
-        cycles: field_u64(value, "cycles", path)?,
-        buffers: parse_buffers(field(value, "buffers", path)?, path)?,
-        vcs: parse_vcs(field(value, "vcs", path)?, path)?,
-        traffic: parse_traffic(field(value, "traffic", path)?, path)?,
-        faults: match value.get("faults") {
-            Some(faults) => parse_faults(faults, path)?,
-            None => FaultChoice::None,
-        },
-    })
+    fnv1a(text.as_bytes())
 }
 
 fn render_stats(stats: &LatencyStats) -> String {
@@ -850,6 +567,7 @@ fn parse_violation(value: &Json, path: &Path) -> Result<Violation> {
     })
 }
 
+/// One outcome line: the scenario index and the measured fields.
 fn render_outcome(outcome: &ScenarioOutcome) -> String {
     let violations: Vec<String> = outcome.violations.iter().map(render_violation).collect();
     let ordering: Vec<String> = outcome
@@ -858,10 +576,10 @@ fn render_outcome(outcome: &ScenarioOutcome) -> String {
         .map(|text| format!("\"{}\"", escape(text)))
         .collect();
     format!(
-        "{{\"scenario\":{},\"flow_count\":{},\"observed\":{},\"simulated_cycles\":{},\
+        "{{\"index\":{},\"flow_count\":{},\"observed\":{},\"simulated_cycles\":{},\
          \"dominance_checked\":{},\"violations\":[{}],\"ordering_violations\":[{}],\
          \"tightness\":{}}}",
-        render_scenario(&outcome.scenario),
+        outcome.scenario.index,
         outcome.flow_count,
         render_stats(&outcome.observed),
         outcome.simulated_cycles,
@@ -872,7 +590,15 @@ fn render_outcome(outcome: &ScenarioOutcome) -> String {
     )
 }
 
-fn parse_outcome(value: &Json, path: &Path) -> Result<ScenarioOutcome> {
+/// Parses one outcome line back into the outcome of `scenario`, which the
+/// caller regenerated from the line's expected index.
+fn parse_outcome(value: &Json, scenario: Scenario, path: &Path) -> Result<ScenarioOutcome> {
+    if field_usize(value, "index", path)? != scenario.index {
+        return Err(corrupt(
+            path,
+            "outcome indices do not match the shard range",
+        ));
+    }
     let violations = field_array(value, "violations", path)?
         .iter()
         .map(|item| parse_violation(item, path))
@@ -886,7 +612,7 @@ fn parse_outcome(value: &Json, path: &Path) -> Result<ScenarioOutcome> {
         })
         .collect::<Result<Vec<_>>>()?;
     Ok(ScenarioOutcome {
-        scenario: parse_scenario(field(value, "scenario", path)?, path)?,
+        scenario,
         flow_count: field_usize(value, "flow_count", path)?,
         observed: parse_stats(field(value, "observed", path)?, path)?,
         simulated_cycles: field_u64(value, "simulated_cycles", path)?,
@@ -950,10 +676,7 @@ impl PartialReport {
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!(
-            "\"format\":\"{}\",\n",
-            format_version(self.campaign.dimension)
-        ));
+        out.push_str(&format!("\"format\":\"{FORMAT_VERSION}\",\n"));
         out.push_str("\"kind\":\"partial\",\n");
         out.push_str(&format!(
             "\"config_hash\":{},\n",
@@ -972,6 +695,10 @@ impl PartialReport {
             "\"shard\":{{\"index\":{},\"start\":{},\"end\":{}}},\n",
             self.shard.index, self.shard.start, self.shard.end
         ));
+        out.push_str(&format!(
+            "\"scenario_digest\":{},\n",
+            scenario_digest(self.outcomes.iter().map(|outcome| &outcome.scenario))
+        ));
         out.push_str("\"outcomes\":[\n");
         for (position, outcome) in self.outcomes.iter().enumerate() {
             let comma = if position + 1 < self.outcomes.len() {
@@ -986,8 +713,10 @@ impl PartialReport {
     }
 
     /// Parses a partial report and validates its internal consistency: the
-    /// format tag, the embedded config hash against the campaign fields, and
-    /// that the outcomes are exactly the shard's indices in order.
+    /// format tag, the embedded config hash against the campaign fields,
+    /// that the outcomes are exactly the shard's indices in order, and that
+    /// the scenarios regenerated from those indices match the header's
+    /// `scenario_digest`.
     ///
     /// # Errors
     ///
@@ -995,17 +724,15 @@ impl PartialReport {
     /// artifact) on any parse or consistency failure.
     pub fn parse_json(text: &str, path: &Path) -> Result<Self> {
         let value = parse_json(text).map_err(|reason| corrupt(path, reason))?;
+        if field_str(&value, "format", path)? != FORMAT_VERSION {
+            return Err(corrupt(path, "unknown format version"));
+        }
         if field_str(&value, "kind", path)? != "partial" {
             return Err(corrupt(path, "not a partial report"));
         }
-        // The expected format tag depends on the dimension (v4 for the fault
-        // sweep, v3 otherwise), so resolve the dimension before checking it.
         let dimension_tag = field_str(&value, "dimension", path)?;
         let dimension = CampaignDimension::from_tag(dimension_tag)
             .ok_or_else(|| corrupt(path, format!("unknown dimension \"{dimension_tag}\"")))?;
-        if field_str(&value, "format", path)? != format_version(dimension) {
-            return Err(corrupt(path, "unknown format version"));
-        }
         let campaign = Campaign {
             seed: field_u64(&value, "seed", path)?,
             scenarios: field_usize(&value, "scenario_count", path)?,
@@ -1023,26 +750,28 @@ impl PartialReport {
         if shard.start > shard.end || shard.end > campaign.scenarios {
             return Err(corrupt(path, "shard range outside the campaign"));
         }
-        let outcomes = field_array(&value, "outcomes", path)?
-            .iter()
-            .map(|item| parse_outcome(item, path))
-            .collect::<Result<Vec<_>>>()?;
-        if outcomes.len() != shard.len() {
+        let items = field_array(&value, "outcomes", path)?;
+        if items.len() != shard.len() {
             return Err(corrupt(
                 path,
                 "outcome count does not match the shard range",
             ));
         }
-        for (offset, outcome) in outcomes.iter().enumerate() {
-            if outcome.scenario.index != shard.start + offset {
-                return Err(corrupt(
-                    path,
-                    "outcome indices do not match the shard range",
-                ));
-            }
-            if outcome.scenario.seed != campaign.seed {
-                return Err(corrupt(path, "outcome seed does not match the campaign"));
-            }
+        let outcomes = items
+            .iter()
+            .zip(shard.start..shard.end)
+            .map(|(item, index)| parse_outcome(item, campaign.scenario(index), path))
+            .collect::<Result<Vec<_>>>()?;
+        let digest = scenario_digest(outcomes.iter().map(|outcome| &outcome.scenario));
+        if field_u64(&value, "scenario_digest", path)? != digest {
+            return Err(corrupt(
+                path,
+                format!(
+                    "scenario digest mismatch: the scenarios regenerated from the shard's \
+                     indices hash to {digest:#018x} — the sampler changed since the shard \
+                     was written; re-run the campaign with --fresh"
+                ),
+            ));
         }
         Ok(Self {
             campaign,
@@ -1239,10 +968,9 @@ impl Fleet {
 
     fn render_campaign_manifest(&self) -> String {
         format!(
-            "{{\n\"format\":\"{}\",\n\"kind\":\"campaign\",\n\
+            "{{\n\"format\":\"{FORMAT_VERSION}\",\n\"kind\":\"campaign\",\n\
              \"config_hash\":{},\n\"dimension\":\"{}\",\n\"seed\":{},\n\
              \"scenario_count\":{}\n}}\n",
-            format_version(self.campaign.dimension),
             self.config_hash(),
             self.campaign.dimension.tag(),
             self.campaign.seed,
@@ -1792,61 +1520,32 @@ mod tests {
         );
     }
 
-    /// Legacy dimensions must keep hashing the v3 format string: the
-    /// expt-campaign golden embeds `config 0xb455082569e10341` for
-    /// `Campaign::new(7, 25)`, and a silent hash change would orphan every
-    /// existing checkpoint directory.
+    /// The config hash is frozen: the expt-campaign golden embeds
+    /// `config 0xacc65e7b4bbdd267` for `Campaign::new(7, 25)`, and a silent hash
+    /// change would orphan every existing checkpoint directory.  Directories
+    /// written by an older codec hashed an older format tag, so they are
+    /// rejected as stale rather than merged.
     #[test]
     fn legacy_config_hash_is_frozen() {
-        assert_eq!(config_hash(&Campaign::new(7, 25)), 0xb455_0825_69e1_0341);
-        assert_eq!(format_version(CampaignDimension::Core), FORMAT_VERSION);
-        assert_eq!(
-            format_version(CampaignDimension::FaultSweep),
-            FORMAT_VERSION_V4
-        );
+        assert_eq!(config_hash(&Campaign::new(7, 25)), 0xacc6_5e7b_4bbd_d267);
     }
 
-    /// A handcrafted outcome exercising every codec branch: violations,
-    /// ordering strings with quotes/backslashes/newlines, non-finite-free
-    /// floats that do not survive decimal printing, and an empty stats edge.
+    /// A handcrafted outcome exercising every measured-field branch:
+    /// violations, oracle and ordering strings with quotes/backslashes/
+    /// newlines, and floats that do not survive decimal printing.
     fn nasty_outcome() -> ScenarioOutcome {
         let mut observed = LatencyStats::new();
         observed.record(17);
         observed.record(3);
         ScenarioOutcome {
-            scenario: Scenario {
-                index: 42,
-                seed: 9,
-                side: 5,
-                family: ScenarioFamily::Placement {
-                    name: "P\"\\\n1".to_string(),
-                    memory: Coord::new(0, 0),
-                    cores: vec![Coord::new(1, 2), Coord::new(3, 4)],
-                },
-                design: DesignChoice::Regular {
-                    max_packet_flits: 8,
-                },
-                message_flits: 9,
-                cycles: 1_234,
-                buffers: BufferChoice::Heterogeneous { seed: 77 },
-                vcs: VcChoice::Count {
-                    count: 3,
-                    assignment: VcAssignment::Distance,
-                },
-                traffic: TrafficChoice::Bursty {
-                    burst: 5,
-                    gap: 4_321,
-                    cv: 50,
-                },
-                faults: FaultChoice::None,
-            },
+            scenario: Campaign::new(9, 43).scenario(42),
             flow_count: 3,
             observed,
             simulated_cycles: 9_876,
             dominance_checked: true,
             violations: vec![Violation {
                 flow: FlowId(2),
-                oracle: "buffer-aware".to_string(),
+                oracle: "buffer-\"aware\"\\\n1".to_string(),
                 observed: 100,
                 bound: 99,
             }],
@@ -1865,7 +1564,9 @@ mod tests {
         let outcome = nasty_outcome();
         let rendered = render_outcome(&outcome);
         let parsed = parse_json(&rendered).expect("rendered outcome parses");
-        let back = parse_outcome(&parsed, Path::new("inline")).expect("outcome reconstructs");
+        let path = Path::new("inline");
+        let back =
+            parse_outcome(&parsed, outcome.scenario.clone(), path).expect("outcome reconstructs");
         assert_eq!(back, outcome);
         // Float bits, not decimal approximations.
         assert_eq!(
@@ -1876,123 +1577,10 @@ mod tests {
             back.tightness.min.to_bits(),
             outcome.tightness.min.to_bits()
         );
-    }
-
-    #[test]
-    fn every_family_round_trips() {
-        let families = [
-            ScenarioFamily::AllToOne {
-                hotspot: Coord::new(3, 1),
-            },
-            ScenarioFamily::OneToAll {
-                source: Coord::new(0, 7),
-            },
-            ScenarioFamily::Endpoints {
-                memories: vec![Coord::new(1, 1), Coord::new(2, 2)],
-            },
-            ScenarioFamily::RandomPairs {
-                pairs: vec![(NodeId(0), NodeId(5)), (NodeId(9), NodeId(1))],
-            },
-            ScenarioFamily::Placement {
-                name: "P3".to_string(),
-                memory: Coord::new(0, 0),
-                cores: vec![Coord::new(4, 4)],
-            },
-        ];
-        for family in families {
-            let rendered = render_family(&family);
-            let parsed = parse_json(&rendered).expect("family renders as JSON");
-            let back = parse_family(&parsed, Path::new("inline")).expect("family reconstructs");
-            assert_eq!(back, family);
-        }
-    }
-
-    #[test]
-    fn every_traffic_choice_round_trips() {
-        for traffic in [
-            TrafficChoice::ClosedLoop,
-            TrafficChoice::Bursty {
-                burst: 0,
-                gap: 1,
-                cv: 0,
-            },
-            TrafficChoice::Bursty {
-                burst: 6,
-                gap: 123_456,
-                cv: 50,
-            },
-        ] {
-            let rendered = render_traffic(&traffic);
-            let parsed = parse_json(&rendered).expect("traffic renders as JSON");
-            let back = parse_traffic(&parsed, Path::new("inline")).expect("traffic reconstructs");
-            assert_eq!(back, traffic);
-        }
-    }
-
-    #[test]
-    fn every_fault_choice_round_trips() {
-        for faults in [
-            FaultChoice::None,
-            FaultChoice::Links {
-                count: 3,
-                seed: 987_654,
-                activation: 0,
-            },
-            FaultChoice::Router {
-                seed: 42,
-                activation: 5_000,
-            },
-        ] {
-            let rendered = render_faults(&faults);
-            let parsed = parse_json(&rendered).expect("faults render as JSON");
-            let back = parse_faults(&parsed, Path::new("inline")).expect("faults reconstruct");
-            assert_eq!(back, faults);
-        }
-    }
-
-    /// A fault-free scenario must serialize without any `faults` field so v3
-    /// checkpoints (and the goldens hashed over them) stay byte-identical,
-    /// while a faulted scenario round-trips through the optional field.
-    #[test]
-    fn fault_field_is_omitted_when_absent_and_round_trips_when_present() {
-        let mut scenario = nasty_outcome().scenario;
-        assert!(!render_scenario(&scenario).contains("faults"));
-
-        scenario.faults = FaultChoice::Links {
-            count: 2,
-            seed: 31_337,
-            activation: 617,
-        };
-        let rendered = render_scenario(&scenario);
-        assert!(rendered.contains("\"faults\":"));
-        let parsed = parse_json(&rendered).expect("scenario renders as JSON");
-        let back = parse_scenario(&parsed, Path::new("inline")).expect("scenario reconstructs");
-        assert_eq!(back, scenario);
-    }
-
-    /// Fault-sweep partials carry the v4 format tag and survive the full
-    /// render → parse → validate cycle (including faulted scenarios).
-    #[test]
-    fn fault_sweep_partial_report_round_trips_at_v4() {
-        let campaign = Campaign::fault_sweep(11, 4);
-        let shard = ShardRange {
-            index: 0,
-            start: 0,
-            end: 4,
-        };
-        let partial = PartialReport::compute(&campaign, shard).unwrap();
-        let json = partial.render_json();
-        assert!(json.contains(&format!("\"format\":\"{FORMAT_VERSION_V4}\"")));
-        let back = PartialReport::parse_json(&json, Path::new("inline")).unwrap();
-        assert_eq!(back, partial);
-
-        // A v4 partial relabeled v3 is rejected: the format check is
-        // dimension-aware.
-        let downgraded = json.replacen(FORMAT_VERSION_V4, FORMAT_VERSION, 1);
-        assert!(matches!(
-            PartialReport::parse_json(&downgraded, Path::new("inline")),
-            Err(Error::CorruptCheckpoint { .. })
-        ));
+        // The line carries the index, never the scenario, and is bound to it.
+        assert!(!rendered.contains("family"), "{rendered}");
+        let other = Campaign::new(9, 43).scenario(41);
+        assert!(parse_outcome(&parsed, other, path).is_err());
     }
 
     #[test]
@@ -2032,6 +1620,109 @@ mod tests {
         };
         let back = ShardManifest::parse_json(&manifest.render_json(), Path::new("inline")).unwrap();
         assert_eq!(back, manifest);
+    }
+
+    /// A crafted file of nothing but open brackets is refused at the depth
+    /// cap instead of overflowing the stack and aborting the merge.
+    #[test]
+    fn deep_nesting_is_rejected_not_a_stack_overflow() {
+        let brackets = "[".repeat(1 << 20);
+        let path = Path::new("inline");
+        for result in [
+            PartialReport::parse_json(&brackets, path).map(drop),
+            ShardManifest::parse_json(&brackets, path).map(drop),
+        ] {
+            let Err(Error::CorruptCheckpoint { reason, .. }) = &result else {
+                panic!("deep nesting not reported corrupt: {result:?}");
+            };
+            assert!(reason.contains("nesting too deep"), "{reason}");
+        }
+    }
+
+    /// Every truncation (at a char boundary) and every single-byte
+    /// replacement by a digit or JSON punctuation of a partial and of a
+    /// manifest either parses or is reported corrupt: damaged checkpoint
+    /// bytes never panic.
+    #[test]
+    fn damaged_checkpoint_bytes_never_panic() {
+        let campaign = Campaign::fault_sweep(11, 3);
+        let shard = partition(campaign.scenarios, 1)[0];
+        let partial = PartialReport::compute(&campaign, shard)
+            .unwrap()
+            .render_json();
+        let manifest = ShardManifest {
+            config_hash: config_hash(&campaign),
+            shard,
+            outcomes: shard.len(),
+            partial_digest: fnv1a(partial.as_bytes()),
+        }
+        .render_json();
+        assert_damage_never_panics(&partial, |text| {
+            PartialReport::parse_json(text, Path::new("inline")).map(drop)
+        });
+        assert_damage_never_panics(&manifest, |text| {
+            ShardManifest::parse_json(text, Path::new("inline")).map(drop)
+        });
+    }
+
+    fn assert_damage_never_panics(text: &str, parse: fn(&str) -> Result<()>) {
+        assert!(parse(text).is_ok());
+        let check = |variant: &str| match parse(variant) {
+            Ok(()) | Err(Error::CorruptCheckpoint { .. }) => {}
+            Err(other) => panic!("{other} for {variant:?}"),
+        };
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            check(&text[..end]);
+        }
+        for position in 0..text.len() {
+            for replacement in *b"09\"\\[]{},:" {
+                let mut bytes = text.as_bytes().to_vec();
+                bytes[position] = replacement;
+                if let Ok(variant) = String::from_utf8(bytes) {
+                    check(&variant);
+                }
+            }
+        }
+    }
+
+    /// A partial whose `scenario_digest` disagrees with the scenarios
+    /// regenerated from its indices is rejected, even when its manifest was
+    /// re-hashed over the edited bytes: a sampler change between the worker
+    /// and the merge is never merged silently.
+    #[test]
+    fn scenario_digest_mismatch_is_rejected_not_merged() {
+        let dir = temp_dir("digest");
+        let fleet = Fleet::new(Campaign::new(11, 4), 2, &dir);
+        fleet.prepare_dir(false).unwrap();
+        fleet.run_shard(0).unwrap();
+        fleet.run_shard(1).unwrap();
+        assert!(fleet.merge().is_ok());
+
+        let partial_path = fleet.partial_path(1);
+        let text = fs::read_to_string(&partial_path).unwrap();
+        let key = "\"scenario_digest\":";
+        let line = text.lines().find(|line| line.starts_with(key)).unwrap();
+        let digest: u64 = line[key.len()..].trim_end_matches(',').parse().unwrap();
+        let tampered = text.replacen(line, &format!("{key}{},", digest ^ 1), 1);
+        fs::write(&partial_path, &tampered).unwrap();
+        let manifest_path = fleet.manifest_path(1);
+        let mut manifest =
+            ShardManifest::parse_json(&fs::read_to_string(&manifest_path).unwrap(), &manifest_path)
+                .unwrap();
+        manifest.partial_digest = fnv1a(tampered.as_bytes());
+        fs::write(&manifest_path, manifest.render_json()).unwrap();
+
+        // The manifest vouches for the edited bytes; only the scenario
+        // digest can catch the mismatch.
+        assert_eq!(fleet.scan()[1].state, ShardState::Complete);
+        let error = fleet.merge().unwrap_err();
+        assert!(matches!(error, Error::CorruptCheckpoint { .. }), "{error}");
+        assert!(
+            error.to_string().contains("scenario digest mismatch"),
+            "{error}"
+        );
+
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use wnoc_core::analysis::oracle::{
 use wnoc_core::analysis::preemptive::SATURATION_SENTINEL;
 use wnoc_core::analysis::BufferAwareWcttModel;
 use wnoc_core::buffers::per_port_table;
-use wnoc_core::fault::{reroute_flows, Reroute};
+use wnoc_core::fault::reroute_flows;
 use wnoc_core::flow::{FlowId, FlowSet, PortCounts};
 use wnoc_core::vc::{VcAssignment, VcConfig};
 use wnoc_core::{
@@ -985,26 +985,12 @@ impl Scenario {
                 oracle_suite_with_curve(&flows, &config, mesh, &buffers, vcs, counts, curve)?
             }
         };
-        // The weighted analyses only model platforms where flows sharing an
-        // input buffer never diverge (the paper's single-destination
-        // evaluation); elsewhere FIFO head-of-line blocking imports delay
-        // from off-route ports and no per-route bound applies.  The
-        // chained-blocking analysis of the regular mesh models divergence
-        // explicitly, so round-robin scenarios are checked whenever a
-        // depth-valid dominating oracle exists (shallow buffers demote the
-        // depth-unaware analyses to ordering-only — see
-        // `oracle_suite_with_buffers`).
-        let has_dominating = suite.iter().any(|oracle| oracle.dominates_observation());
-        let dominance_checked = has_dominating
-            && match self.design {
-                DesignChoice::Regular { .. } => true,
-                DesignChoice::WawWap => flows.is_output_consistent(),
-            };
-        let (violations, tightness) = if dominance_checked {
-            self.check_dominance(&flows, &report, &mut suite)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        // Stats can contain ids the network registered on demand;
+        // conformance only judges the statically analysed flows.
+        let (dominance_checked, violations, tightness) =
+            self.check_dominance(&flows, &report, &mut suite, |flow| {
+                flows.route(flow).map(|_| flow)
+            });
         let ordering_violations = self.check_ordering(&flows, &mesh, &buffers, &mut suite);
 
         Ok(ScenarioOutcome {
@@ -1069,17 +1055,16 @@ impl Scenario {
         }
         let mut suite =
             oracle_suite_with_counts(&reroute.flows, config, *mesh, buffers, vcs, counts)?;
-        let has_dominating = suite.iter().any(|oracle| oracle.dominates_observation());
-        let dominance_checked = has_dominating
-            && match self.design {
-                DesignChoice::Regular { .. } => true,
-                DesignChoice::WawWap => reroute.flows.is_output_consistent(),
-            };
-        let (violations, tightness) = if dominance_checked {
-            self.check_degraded_dominance(&reroute, report, &mut suite)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        // The report keys observations by *original* flow id, while the
+        // degraded oracles index the densely re-indexed rerouted set: the
+        // `Reroute::surviving` table translates between the two.  Severed
+        // pairs carry no bound (and no observation: the closed loop refuses
+        // their offers).
+        let (dominance_checked, violations, tightness) =
+            self.check_dominance(&reroute.flows, report, &mut suite, |original| {
+                let position = reroute.surviving.iter().position(|&id| id == original)?;
+                Some(FlowId(position))
+            });
         let ordering_violations = self.check_ordering(&reroute.flows, mesh, buffers, &mut suite);
         Ok(ScenarioOutcome {
             scenario: self.clone(),
@@ -1093,57 +1078,24 @@ impl Scenario {
         })
     }
 
-    /// [`Scenario::check_dominance`] for a degraded-from-start fault
-    /// scenario: the report keys observations by *original* flow id, while
-    /// the degraded oracles index the densely re-indexed rerouted set — the
-    /// [`Reroute::surviving`] table translates between the two.  Severed
-    /// pairs carry no bound (and no observation: the closed loop refuses
-    /// their offers).  Violations report the original id, which is what a
-    /// reproduction needs.
-    fn check_degraded_dominance(
-        &self,
-        reroute: &Reroute,
-        report: &SaturatedReport,
-        suite: &mut [Box<dyn WcttBoundModel>],
-    ) -> (Vec<Violation>, Vec<f64>) {
-        let mut violations = Vec::new();
-        let mut ratios = Vec::new();
-        let primary = suite
-            .iter()
-            .position(|oracle| oracle.dominates_observation());
-        for (original, observed) in report.per_flow_max() {
-            let Some(position) = reroute.surviving.iter().position(|&id| id == original) else {
-                continue;
-            };
-            let flow = FlowId(position);
-            for (at, oracle) in suite.iter_mut().enumerate() {
-                if !oracle.dominates_observation() {
-                    continue;
-                }
-                let Some(bound) = oracle.message_bound(flow, self.message_flits) else {
-                    continue;
-                };
-                if Some(at) == primary && bound > 0 && bound < SATURATION_SENTINEL {
-                    ratios.push(observed as f64 / bound as f64);
-                }
-                if observed > bound && oracle.dominates_message(self.message_flits) {
-                    violations.push(Violation {
-                        flow: original,
-                        oracle: oracle.name().to_string(),
-                        observed,
-                        bound,
-                    });
-                }
-            }
-        }
-        (violations, ratios)
-    }
-
     /// Dominance: every analysis claiming observation safety *for this
     /// message size* ([`WcttBoundModel::dominates_observation`] together with
     /// [`WcttBoundModel::dominates_message`]) must bound every flow's worst
-    /// observed traversal.  Returns the violations plus the per-flow
-    /// tightness ratios against the primary (first dominating) analysis.
+    /// observed traversal.  `oracle_id` maps a reported flow id to the id
+    /// the suite (built over `flows`) indexes, or `None` for a flow the
+    /// suite does not analyse.  Returns whether dominance was checked at
+    /// all, the violations (under the reported flow id, which is what a
+    /// reproduction needs) and the per-flow tightness ratios against the
+    /// primary (first dominating) analysis.
+    ///
+    /// The weighted analyses only model platforms where flows sharing an
+    /// input buffer never diverge (the paper's single-destination
+    /// evaluation); elsewhere FIFO head-of-line blocking imports delay from
+    /// off-route ports and no per-route bound applies.  The chained-blocking
+    /// analysis of the regular mesh models divergence explicitly, so
+    /// round-robin scenarios are checked whenever a depth-valid dominating
+    /// oracle exists (shallow buffers demote the depth-unaware analyses to
+    /// ordering-only — see `oracle_suite_with_vcs`).
     ///
     /// Ratios are diagnostics, not verdicts: they are recorded even when the
     /// primary analysis does not claim the multi-packet composition (so a
@@ -1156,23 +1108,30 @@ impl Scenario {
         flows: &FlowSet,
         report: &SaturatedReport,
         suite: &mut [Box<dyn WcttBoundModel>],
-    ) -> (Vec<Violation>, Vec<f64>) {
-        let mut violations = Vec::new();
-        let mut ratios = Vec::new();
+        oracle_id: impl Fn(FlowId) -> Option<FlowId>,
+    ) -> (bool, Vec<Violation>, Vec<f64>) {
         let primary = suite
             .iter()
             .position(|oracle| oracle.dominates_observation());
+        let checked = primary.is_some()
+            && match self.design {
+                DesignChoice::Regular { .. } => true,
+                DesignChoice::WawWap => flows.is_output_consistent(),
+            };
+        let mut violations = Vec::new();
+        let mut ratios = Vec::new();
+        if !checked {
+            return (false, violations, ratios);
+        }
         for (flow, observed) in report.per_flow_max() {
-            if flows.route(flow).is_none() {
-                // Stats can contain ids the network registered on demand;
-                // conformance only judges the statically analysed flows.
+            let Some(id) = oracle_id(flow) else {
                 continue;
-            }
+            };
             for (position, oracle) in suite.iter_mut().enumerate() {
                 if !oracle.dominates_observation() {
                     continue;
                 }
-                let Some(bound) = oracle.message_bound(flow, self.message_flits) else {
+                let Some(bound) = oracle.message_bound(id, self.message_flits) else {
                     continue;
                 };
                 if Some(position) == primary && bound > 0 && bound < SATURATION_SENTINEL {
@@ -1188,7 +1147,7 @@ impl Scenario {
                 }
             }
         }
-        (violations, ratios)
+        (true, violations, ratios)
     }
 
     /// Cross-analysis ordering, for every flow:

@@ -75,7 +75,9 @@ use crate::routing::Route;
 use crate::topology::Mesh;
 use crate::weights::WeightTable;
 
-use super::weighted::WeightedWcttModel;
+use super::weighted::{
+    bottleneck_flows, dilated_hops, paper_hop, pipelined, route_tail, WeightedWcttModel,
+};
 
 /// Evaluator of the buffer-aware WaW + WaP WCTT bound.
 #[derive(Debug, Clone)]
@@ -164,71 +166,64 @@ impl BufferAwareWcttModel {
         WeightedWcttModel::new(self.weights.clone(), self.timing, self.slice_flits)
     }
 
-    /// Per-hop dilated round factors: the suffix maximum `O*` of the
-    /// per-output flow counts from each hop to the destination.
-    fn suffix_rounds(&self, route: &Route) -> Vec<(u64, u64)> {
-        let hops = route.hops();
-        let mut out = vec![(0u64, 0u64); hops.len()];
-        let mut suffix_max = 1u64;
-        for (index, hop) in hops.iter().enumerate().rev() {
-            let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
-            suffix_max = suffix_max.max(flows);
-            out[index] = (flows, suffix_max);
-        }
-        out
-    }
-
-    /// WCTT bound for a single `m`-flit packet (slice) following `route`
-    /// through the configured buffers.
-    pub fn packet_wctt(&self, route: &Route) -> u64 {
-        let timing = self.timing;
+    /// The hops of `route`, destination first, each as `(O, d, stall)`: its
+    /// flow count, the depth governing its backpressure
+    /// ([`BufferConfig::hop_depth`], at least 1) and the two-regime
+    /// [`backpressure`] stall of its dilation excess `O*·m − (O − 1)·m`.
+    pub(crate) fn hop_terms<'a>(
+        &'a self,
+        route: &'a Route,
+    ) -> impl Iterator<Item = (u64, u64, u64)> + 'a {
         let m = u64::from(self.slice_flits);
-        let mut total = 0u64;
-        for (hop, (flows, dilated)) in route.hops().iter().zip(self.suffix_rounds(route)) {
-            // excess = O*·m − (O − 1)·m: the backpressure cost of the hop.
-            let excess = (dilated - (flows - 1)) * m;
+        dilated_hops(&self.weights, route).map(move |(hop, flows, dilated)| {
             let depth = u64::from(
                 self.buffers
                     .hop_depth(&self.mesh, hop.router, hop.input, hop.output)
                     .max(1),
             );
-            let calibration = u64::from(Self::CALIBRATION_DEPTH);
-            let slack = u64::from(Self::OCCUPANCY_SLACK);
-            let backpressure = if depth <= calibration {
-                // Credit regime: stalls scale inversely with depth.
-                calibration * excess / depth
-            } else {
-                // Occupancy regime: harmonic decay of the dilation residual.
-                (calibration + slack) * excess / (depth + slack)
-            };
-            total += u64::from(timing.router_cycles) + (flows - 1) * m + backpressure;
-        }
-        total
-            + u64::from(timing.link_cycles) * u64::from(route.hop_count())
-            + u64::from(timing.ejection_cycles)
-            + (m - 1)
+            (
+                flows,
+                depth,
+                backpressure((dilated - (flows - 1)) * m, depth),
+            )
+        })
+    }
+
+    /// WCTT bound for a single `m`-flit packet (slice) following `route`
+    /// through the configured buffers.
+    pub fn packet_wctt(&self, route: &Route) -> u64 {
+        let m = u64::from(self.slice_flits);
+        let hops: u64 = self
+            .hop_terms(route)
+            .map(|(flows, _, stall)| paper_hop(self.timing, flows, m) + stall)
+            .sum();
+        hops + route_tail(self.timing, route, m)
     }
 
     /// Message-level bound: each extra slice adds one dilated round of the
     /// bottleneck port, exactly as in the reference models (so the message
     /// composition preserves the per-packet anchors).
     pub fn message_wctt(&self, route: &Route, slices: u32) -> u64 {
-        let per_packet = self.packet_wctt(route);
-        if slices <= 1 {
-            return per_packet;
-        }
-        // Same bottleneck round as WeightedWcttModel::bottleneck_flows,
-        // computed in place: this runs per flow per conformance check, so it
-        // must not clone the weight table.
-        let bottleneck = route
-            .hops()
-            .iter()
-            .map(|h| self.weights.output_flows(h.router, h.output))
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let round = u64::from(bottleneck) * u64::from(self.slice_flits);
-        per_packet + u64::from(slices - 1) * round
+        pipelined(
+            self.packet_wctt(route),
+            bottleneck_flows(&self.weights, route),
+            self.slice_flits,
+            slices,
+        )
+    }
+}
+
+/// The two-regime backpressure stall of a hop whose dilation `excess` sits
+/// behind a `depth`-flit buffer (`depth ≥ 1`): `D₀·excess/d` in the credit
+/// regime `d ≤ D₀`, where stalls scale inversely with depth, and the
+/// harmonic decay `(D₀ + S)·excess/(d + S)` in the occupancy regime beyond.
+pub(crate) fn backpressure(excess: u64, depth: u64) -> u64 {
+    let calibration = u64::from(BufferAwareWcttModel::CALIBRATION_DEPTH);
+    let slack = u64::from(BufferAwareWcttModel::OCCUPANCY_SLACK);
+    if depth <= calibration {
+        calibration * excess / depth
+    } else {
+        (calibration + slack) * excess / (depth + slack)
     }
 }
 

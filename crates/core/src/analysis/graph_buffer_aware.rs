@@ -133,36 +133,17 @@ impl GraphBufferAwareWcttModel {
     /// docs.  May exceed the steady-state bound on shallow contended routes —
     /// that excess is load-bearing, not an artifact (see the module docs).
     pub fn service_slot(&self, route: &Route, slices: u32) -> u64 {
-        let timing = self.base.timing();
+        let router = u64::from(self.base.timing().router_cycles);
         let m = u64::from(self.base.slice_flits());
         let slices = u64::from(slices.max(1));
         let message_flits = slices * m;
-        let weights = self.base.weights();
-        let buffers = self.base.buffers();
-        let mesh = self.base.mesh();
-        let calibration = u64::from(BufferAwareWcttModel::CALIBRATION_DEPTH);
-        let slack = u64::from(BufferAwareWcttModel::OCCUPANCY_SLACK);
 
         let mut slot = 0u64;
         let mut chain = 0u64;
         // Buffer flits strictly downstream of the hop under consideration.
         let mut downstream_cap = 0u64;
-        let mut suffix_max = 1u64;
-        for hop in route.hops().iter().rev() {
-            let flows = u64::from(weights.output_flows(hop.router, hop.output)).max(1);
-            suffix_max = suffix_max.max(flows);
-            let excess = (suffix_max - (flows - 1)) * m;
-            let depth = u64::from(
-                buffers
-                    .hop_depth(mesh, hop.router, hop.input, hop.output)
-                    .max(1),
-            );
-            let backpressure = if depth <= calibration {
-                calibration * excess / depth
-            } else {
-                (calibration + slack) * excess / (depth + slack)
-            };
-            let serve = u64::from(timing.router_cycles) + slices * flows * m + backpressure;
+        for (flows, depth, stall) in self.base.hop_terms(route) {
+            let serve = router + slices * flows * m + stall;
             chain = serve
                 + if downstream_cap < message_flits {
                     chain
@@ -175,32 +156,34 @@ impl GraphBufferAwareWcttModel {
         slot
     }
 
-    fn burst_terms(&self, slot: u64) -> u64 {
-        let burst = u64::from(self.curve.effective_burst());
-        (burst - 1) * slot + self.curve.jitter_allowance()
-    }
-
     /// Bound for a single `m`-flit packet (slice) of the flow under the
     /// arrival contract.  Collapses to [`BufferAwareWcttModel::packet_wctt`]
     /// bit-identically when the curve carries no burst.
     pub fn packet_wctt(&self, route: &Route) -> u64 {
-        let base_bound = self.base.packet_wctt(route);
-        if self.curve.effective_burst() <= 1 {
-            return base_bound;
-        }
-        base_bound + self.burst_terms(self.service_slot(route, 1))
+        burst_bound(self.base.packet_wctt(route), self.curve, || {
+            self.service_slot(route, 1)
+        })
     }
 
     /// Bound for a whole `slices`-slice message under the arrival contract.
     /// Collapses to [`BufferAwareWcttModel::message_wctt`] bit-identically
     /// when the curve carries no burst.
     pub fn message_wctt(&self, route: &Route, slices: u32) -> u64 {
-        let base_bound = self.base.message_wctt(route, slices);
-        if self.curve.effective_burst() <= 1 {
-            return base_bound;
-        }
-        base_bound + self.burst_terms(self.service_slot(route, slices))
+        burst_bound(self.base.message_wctt(route, slices), self.curve, || {
+            self.service_slot(route, slices)
+        })
     }
+}
+
+/// The burst bound `W + (b − 1)·slot + jitter_allowance` over the
+/// steady-state bound `W`; exactly `W` when `curve` carries no burst, in
+/// which case the service slot is never computed.
+pub(crate) fn burst_bound(base_bound: u64, curve: ArrivalCurve, slot: impl FnOnce() -> u64) -> u64 {
+    let burst = u64::from(curve.effective_burst());
+    if burst <= 1 {
+        return base_bound;
+    }
+    base_bound + ((burst - 1) * slot() + curve.jitter_allowance())
 }
 
 #[cfg(test)]

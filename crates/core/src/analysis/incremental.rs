@@ -7,9 +7,9 @@
 //! flow.  [`IncrementalAnalysis`] keeps one model instance per analysis alive
 //! across mutations and caches, per flow, the expensive route-dependent terms
 //! each analysis needs ([`FlowTerms`]); every exported bound is then composed
-//! from the cached terms with the *same arithmetic* (same operations, same
-//! order, same saturation) the from-scratch oracles use, which is what makes
-//! the bounds bit-identical — the differential proptest
+//! from the cached terms by calling the *same functions* the from-scratch
+//! oracles call (the formulas live once, in the model modules), which is
+//! what makes the bounds bit-identical — the differential proptest
 //! (`incremental_equivalence`) pins this for arbitrary mutation sequences.
 //!
 //! # Invalidation
@@ -39,11 +39,12 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::analysis::graph_buffer_aware::burst_bound;
 use crate::analysis::oracle::WcttBoundModel;
-use crate::analysis::preemptive::{PreemptiveOracle, SATURATION_SENTINEL};
-use crate::analysis::regular::RegularWcttModel;
+use crate::analysis::preemptive::{self, PreemptiveOracle};
+use crate::analysis::regular::{self, own_size_bound, RegularWcttModel};
 use crate::analysis::slot;
-use crate::analysis::weighted::WeightedWcttModel;
+use crate::analysis::weighted::{pipelined, WeightedWcttModel};
 use crate::analysis::{BufferAwareWcttModel, GraphBufferAwareWcttModel};
 use crate::arbitration::ArbitrationPolicy;
 use crate::arrival::ArrivalCurve;
@@ -51,11 +52,10 @@ use crate::buffers::BufferConfig;
 use crate::config::NocConfig;
 use crate::error::{Error, Result};
 use crate::fault::{reroute_flows, FaultKind, FaultSet, TreeRouting};
-use crate::flow::{FlowId, FlowSet, PortCounts};
+use crate::flow::{FlowId, FlowSet};
 use crate::geometry::{Coord, NodeId};
-use crate::packetization::PacketizationPolicy;
+use crate::packetization::regular_sizes;
 use crate::port::Port;
-use crate::routing::Hop;
 use crate::topology::Mesh;
 use crate::vc::VcConfig;
 use crate::weights::WeightTable;
@@ -173,9 +173,9 @@ pub enum Mutation {
     },
 }
 
-/// The cached route-dependent terms of one flow.  Composing bounds from
-/// these reproduces every oracle's arithmetic exactly; see the queries in
-/// [`IncrementalAnalysis`] for the per-analysis composition.
+/// The cached route-dependent terms of one flow.  The queries of
+/// [`IncrementalAnalysis`] compose every bound from these through the model
+/// modules' own composition functions.
 #[derive(Debug, Clone, Copy, Default)]
 struct FlowTerms {
     /// `RegularWcttModel::route_wctt(route, 1)` — the own-size-independent
@@ -185,7 +185,8 @@ struct FlowTerms {
     paper_packet: u64,
     /// `WeightedWcttModel::backpressured_packet_wctt(route)` (WaW only).
     bp_packet: u64,
-    /// `BufferAwareWcttModel::packet_wctt(route)` (WaW only).
+    /// `BufferAwareWcttModel::packet_wctt(route)` (WaW only), the base the
+    /// graph-based burst term extends.
     ba_packet: u64,
     /// `WeightedWcttModel::bottleneck_flows(route)` (WaW only).
     bottleneck: u32,
@@ -193,22 +194,6 @@ struct FlowTerms {
     /// monotone in the contender count at fixed sizes, so the per-route
     /// maximum is the only hop that matters).
     slot_contenders: u32,
-}
-
-/// The `(node, input port)` buffer a hop's output drains into — the exact
-/// depth [`BufferConfig::hop_depth`] reads for that hop.
-fn hop_depth_key(mesh: &Mesh, hop: &Hop) -> Option<(NodeId, Port)> {
-    match hop.output {
-        Port::Mesh(dir) => {
-            let downstream = mesh.neighbor(hop.router, dir)?;
-            let node = mesh.node_id(downstream).ok()?;
-            Some((node, Port::Mesh(dir.opposite())))
-        }
-        Port::Local => {
-            let node = mesh.node_id(hop.router).ok()?;
-            Some((node, hop.input))
-        }
-    }
 }
 
 /// Incremental engine over every analysis applicable to one arbitration
@@ -245,23 +230,18 @@ pub struct IncrementalAnalysis {
     flows: FlowSet,
     buffers: BufferConfig,
     vcs: VcConfig,
-    /// Delta-maintained contention counts, kept only under WaW where the
-    /// slot contender terms read output-port totals.  Under round robin the
-    /// slot terms read pair supports, which the regular model already holds
-    /// in dense form, so no second count structure is maintained.
-    counts: Option<PortCounts>,
     /// Round robin: the dependency-tracked chained-blocking model, shared by
-    /// the regular, UBD and preemptive compositions (their from-scratch
-    /// counterparts all build this exact model).
+    /// the regular, UBD, preemptive and slot compositions (their from-scratch
+    /// counterparts all build this exact model or read the same supports).
     regular: Option<RegularWcttModel>,
-    /// WaW: the weighted model over the delta-maintained weight table.
+    /// WaW: the weighted model over the delta-maintained weight table; its
+    /// per-output flow counts also feed the slot contender terms.
     weighted: Option<WeightedWcttModel>,
-    /// WaW: the buffer-aware model over its own delta-maintained table.
-    buffer_aware: Option<BufferAwareWcttModel>,
     /// WaW: the graph-based bursty extension over its own delta-maintained
-    /// base model.  Its bounds are composed at query time (the burst term
-    /// depends on the queried message size), so the arrival-curve knob never
-    /// touches the per-flow term cache.
+    /// buffer-aware base model, which also serves the buffer-aware terms.
+    /// The burst term is composed at query time (it depends on the queried
+    /// message size), so the arrival-curve knob never touches the per-flow
+    /// term cache.
     graph: Option<GraphBufferAwareWcttModel>,
     /// The preemptive depth envelope factor of the current buffer plan,
     /// recomputed per depth mutation and applied at query time.
@@ -285,7 +265,7 @@ pub struct IncrementalAnalysis {
     /// that column.  Dense by column so mutation-time invalidation never
     /// hashes.
     port_readers: Vec<Vec<u32>>,
-    /// Per-flow buffer read set (WaW / buffer-aware only).
+    /// Per-flow buffer read set (WaW only: the buffer-aware terms).
     depth_keys: Vec<Vec<(NodeId, Port)>>,
     /// Reverse index of `depth_keys`.
     depth_readers: HashMap<(NodeId, Port), HashSet<usize>>,
@@ -307,14 +287,13 @@ impl IncrementalAnalysis {
         config.validate()?;
         let mesh = *flows.mesh();
         buffers.validate(&mesh)?;
-        let (regular, weighted, buffer_aware, graph) = match config.arbitration {
+        let (regular, weighted, graph) = match config.arbitration {
             ArbitrationPolicy::RoundRobin => (
                 Some(RegularWcttModel::new_tracking(
                     flows,
                     config.timing,
                     config.packetization.worst_case_contender_flits(),
                 )),
-                None,
                 None,
                 None,
             ),
@@ -331,7 +310,6 @@ impl IncrementalAnalysis {
                 (
                     None,
                     Some(WeightedWcttModel::new(table, config.timing, slice)),
-                    Some(base.clone()),
                     // Seeded with the burst-free contract, under which the
                     // graph-based bound collapses to the buffer-aware one;
                     // `Mutation::SetArrivalCurve` swaps the contract in place.
@@ -343,10 +321,6 @@ impl IncrementalAnalysis {
             }
         };
         let n = flows.len();
-        let counts = match config.arbitration {
-            ArbitrationPolicy::RoundRobin => None,
-            ArbitrationPolicy::Waw => Some(PortCounts::from_flow_set(flows)),
-        };
         let columns = mesh.router_count() * Port::COUNT;
         let mut engine = Self {
             mesh,
@@ -354,10 +328,8 @@ impl IncrementalAnalysis {
             flows: flows.clone(),
             buffers: buffers.clone(),
             vcs,
-            counts,
             regular,
             weighted,
-            buffer_aware,
             graph,
             depth_factor: PreemptiveOracle::depth_envelope_factor(config, buffers),
             preemptive: None,
@@ -483,9 +455,6 @@ impl IncrementalAnalysis {
                     .with_buffer_depth(&self.mesh, node, port, depth);
                 buffers.validate(&self.mesh)?;
                 self.buffers = buffers;
-                if let Some(model) = &mut self.buffer_aware {
-                    model.set_buffers(self.buffers.clone());
-                }
                 if let Some(model) = &mut self.graph {
                     model.base_mut().set_buffers(self.buffers.clone());
                 }
@@ -558,60 +527,38 @@ impl IncrementalAnalysis {
     /// [`WcttBoundModel::packet_bound`] over the current design.  `None` for
     /// unknown flows or analyses inapplicable to the arbitration policy.
     pub fn packet_bound(&mut self, analysis: Analysis, id: FlowId, own_flits: u32) -> Option<u64> {
-        if id.0 >= self.flows.len() {
+        if id.0 >= self.flows.len() || !self.serves(analysis) {
             return None;
         }
         match analysis {
-            Analysis::Regular => {
-                self.regular.as_ref()?;
-                let terms = self.ensure_terms(id.0)?;
-                Some(regular_packet(terms.regular_base, own_flits))
+            // The UBD oracle answers packet queries through its message
+            // composition (a single wire packet is a one-packet message).
+            Analysis::Ubd => return self.message_bound(Analysis::Ubd, id, own_flits),
+            Analysis::Preemptive if !self.vcs.is_single() => {
+                return self.ensure_preemptive().packet_bound(id, own_flits);
             }
-            Analysis::Ubd => {
-                // The UBD oracle answers packet queries through its message
-                // composition (a single wire packet is a one-packet message).
-                self.message_bound(Analysis::Ubd, id, own_flits)
-            }
-            Analysis::Preemptive => {
-                self.regular.as_ref()?;
-                if self.vcs.is_single() {
-                    let factor = self.depth_factor;
-                    let terms = self.ensure_terms(id.0)?;
-                    Some(preemptive_packet(terms.regular_base, factor, own_flits))
-                } else {
-                    self.ensure_preemptive().packet_bound(id, own_flits)
-                }
-            }
-            Analysis::Slot => {
-                let own = match self.config.packetization {
-                    PacketizationPolicy::Regular { .. } => own_flits,
-                    PacketizationPolicy::Wap { min_packet_flits } => min_packet_flits,
-                };
-                let contender_flits = self.config.packetization.worst_case_contender_flits();
-                let terms = self.ensure_terms(id.0)?;
-                Some(slot_envelope(terms.slot_contenders, contender_flits, own))
-            }
-            Analysis::Weighted => {
-                self.weighted.as_ref()?;
-                let terms = self.ensure_terms(id.0)?;
-                Some(terms.paper_packet)
-            }
-            Analysis::WeightedBp => {
-                self.weighted.as_ref()?;
-                let terms = self.ensure_terms(id.0)?;
-                Some(terms.bp_packet)
-            }
-            Analysis::BufferAware => {
-                self.buffer_aware.as_ref()?;
-                let terms = self.ensure_terms(id.0)?;
-                Some(terms.ba_packet)
-            }
-            Analysis::GraphBufferAware => {
-                let model = self.graph.as_ref()?;
-                let route = self.flows.route(id)?;
-                Some(model.packet_wctt(route))
-            }
+            _ => {}
         }
+        let terms = self.ensure_terms(id.0)?;
+        Some(match analysis {
+            Analysis::Regular => own_size_bound(terms.regular_base, own_flits),
+            // Single VC: no higher-priority interferer, zero preemption.
+            Analysis::Preemptive => preemptive::packet_bound(
+                self.depth_factor,
+                own_size_bound(terms.regular_base, own_flits),
+                0,
+            ),
+            Analysis::Slot => slot::envelope(
+                terms.slot_contenders,
+                self.config.packetization.worst_case_contender_flits(),
+                slot::packet_flits(self.config.packetization, own_flits),
+            ),
+            Analysis::Weighted => terms.paper_packet,
+            Analysis::WeightedBp => terms.bp_packet,
+            Analysis::BufferAware => terms.ba_packet,
+            Analysis::GraphBufferAware => self.burst(id, terms.ba_packet, 1)?,
+            Analysis::Ubd => unreachable!("answered above"),
+        })
     }
 
     /// Bound for one whole `message_flits`-flit message on flow `id` under
@@ -623,161 +570,85 @@ impl IncrementalAnalysis {
         id: FlowId,
         message_flits: u32,
     ) -> Option<u64> {
-        if id.0 >= self.flows.len() {
+        if id.0 >= self.flows.len() || !self.serves(analysis) {
             return None;
         }
-        let geometry = self.config.geometry;
-        match analysis {
-            Analysis::Regular => {
-                self.regular.as_ref()?;
-                // RegularOracle splits through a Regular policy at its own
-                // (≥ 1) maximum packet size regardless of the platform's
-                // packetization.
-                let max_packet_flits = self
-                    .config
-                    .packetization
-                    .worst_case_contender_flits()
-                    .max(1);
-                let packets = PacketizationPolicy::Regular { max_packet_flits }
-                    .split_message(message_flits, geometry);
-                let terms = self.ensure_terms(id.0)?;
-                Some(
-                    packets
-                        .iter()
-                        .map(|&s| regular_packet(terms.regular_base, s))
-                        .fold(0u64, u64::saturating_add),
-                )
-            }
-            Analysis::Ubd => {
-                let packets = self
-                    .config
-                    .packetization
-                    .split_message(message_flits, geometry);
-                match self.config.arbitration {
-                    ArbitrationPolicy::RoundRobin => {
-                        self.regular.as_ref()?;
-                        let terms = self.ensure_terms(id.0)?;
-                        Some(
-                            packets
-                                .iter()
-                                .map(|&s| regular_packet(terms.regular_base, s))
-                                .fold(0u64, u64::saturating_add),
-                        )
-                    }
-                    ArbitrationPolicy::Waw => {
-                        let slice = self.slice_flits();
-                        let terms = self.ensure_terms(id.0)?;
-                        Some(weighted_message(
-                            terms.paper_packet,
-                            terms.bottleneck,
-                            slice,
-                            packets.len() as u32,
-                        ))
-                    }
+        if analysis == Analysis::Preemptive && !self.vcs.is_single() {
+            return self.ensure_preemptive().message_bound(id, message_flits);
+        }
+        let config = self.config;
+        let terms = self.ensure_terms(id.0)?;
+        // The regular and preemptive oracles split at their own (≥ 1)
+        // maximum packet size regardless of the platform's packetization.
+        let max_packet_flits = || {
+            let model = self.regular.as_ref().expect("round robin keeps regular");
+            model.contender_flits()
+        };
+        let slice_flits = || {
+            let model = self.weighted.as_ref().expect("WaW keeps weighted");
+            model.slice_flits()
+        };
+        let slices = || config.slices(message_flits);
+        let pipeline =
+            |per_packet| pipelined(per_packet, terms.bottleneck, slice_flits(), slices());
+        Some(match analysis {
+            Analysis::Regular => regular::packet_sum(
+                terms.regular_base,
+                regular_sizes(max_packet_flits(), message_flits),
+            ),
+            Analysis::Ubd => match config.arbitration {
+                ArbitrationPolicy::RoundRobin => {
+                    regular::packet_sum(terms.regular_base, config.wire_packets(message_flits))
                 }
-            }
+                ArbitrationPolicy::Waw => pipeline(terms.paper_packet),
+            },
             Analysis::Preemptive => {
-                self.regular.as_ref()?;
-                if self.vcs.is_single() {
-                    let max_packet_flits = self
-                        .config
-                        .packetization
-                        .worst_case_contender_flits()
-                        .max(1);
-                    let packets = PacketizationPolicy::Regular { max_packet_flits }
-                        .split_message(message_flits, geometry);
-                    let factor = self.depth_factor;
-                    let terms = self.ensure_terms(id.0)?;
-                    let mut total = 0u64;
-                    for &size in &packets {
-                        total = total.saturating_add(preemptive_packet(
-                            terms.regular_base,
-                            factor,
-                            size,
-                        ));
-                    }
-                    if packets.len() > 1 {
-                        let round = preemptive_packet(terms.regular_base, factor, max_packet_flits);
-                        total =
-                            total.saturating_add((packets.len() as u64 - 1).saturating_mul(round));
-                    }
-                    Some(total.min(SATURATION_SENTINEL))
-                } else {
-                    self.ensure_preemptive().message_bound(id, message_flits)
-                }
+                let max = max_packet_flits();
+                preemptive::train_bound(regular_sizes(max, message_flits), max, |size| {
+                    Some(preemptive::packet_bound(
+                        self.depth_factor,
+                        own_size_bound(terms.regular_base, size),
+                        0,
+                    ))
+                })?
             }
-            Analysis::Slot => {
-                let wire: u32 = self
-                    .config
-                    .packetization
-                    .split_message(message_flits, geometry)
-                    .iter()
-                    .sum();
-                let contender_flits = self.config.packetization.worst_case_contender_flits();
-                let terms = self.ensure_terms(id.0)?;
-                Some(slot_envelope(terms.slot_contenders, contender_flits, wire))
-            }
-            Analysis::Weighted => {
-                self.weighted.as_ref()?;
-                let slices = self.slices(message_flits);
-                let slice = self.slice_flits();
-                let terms = self.ensure_terms(id.0)?;
-                Some(weighted_message(
-                    terms.paper_packet,
-                    terms.bottleneck,
-                    slice,
-                    slices,
-                ))
-            }
-            Analysis::WeightedBp => {
-                self.weighted.as_ref()?;
-                let slices = self.slices(message_flits);
-                let slice = self.slice_flits();
-                let terms = self.ensure_terms(id.0)?;
-                Some(weighted_message(
-                    terms.bp_packet,
-                    terms.bottleneck,
-                    slice,
-                    slices,
-                ))
-            }
-            Analysis::BufferAware => {
-                self.buffer_aware.as_ref()?;
-                let slices = self.slices(message_flits);
-                let slice = self.slice_flits();
-                let terms = self.ensure_terms(id.0)?;
-                Some(weighted_message(
-                    terms.ba_packet,
-                    terms.bottleneck,
-                    slice,
-                    slices,
-                ))
-            }
+            Analysis::Slot => slot::envelope(
+                terms.slot_contenders,
+                config.packetization.worst_case_contender_flits(),
+                config.wire_packets(message_flits).iter().sum(),
+            ),
+            Analysis::Weighted => pipeline(terms.paper_packet),
+            Analysis::WeightedBp => pipeline(terms.bp_packet),
+            Analysis::BufferAware => pipeline(terms.ba_packet),
             Analysis::GraphBufferAware => {
-                let slices = self.slices(message_flits);
-                let model = self.graph.as_ref()?;
-                let route = self.flows.route(id)?;
-                Some(model.message_wctt(route, slices))
+                let slices = slices();
+                let base = pipelined(terms.ba_packet, terms.bottleneck, slice_flits(), slices);
+                self.burst(id, base, slices)?
             }
+        })
+    }
+
+    /// `true` if `analysis` applies to the engine's arbitration policy.
+    fn serves(&self, analysis: Analysis) -> bool {
+        match analysis {
+            Analysis::Ubd | Analysis::Slot => true,
+            Analysis::Regular | Analysis::Preemptive => self.regular.is_some(),
+            Analysis::Weighted
+            | Analysis::WeightedBp
+            | Analysis::BufferAware
+            | Analysis::GraphBufferAware => self.weighted.is_some(),
         }
     }
 
-    /// The weighted models' slice size `m` (clamped ≥ 1 exactly as their
-    /// constructor clamps it).
-    fn slice_flits(&self) -> u32 {
-        self.config
-            .packetization
-            .worst_case_contender_flits()
-            .max(1)
-    }
-
-    /// Number of wire packets a message occupies (the weighted oracles'
-    /// `slices`).
-    fn slices(&self, message_flits: u32) -> u32 {
-        self.config
-            .packetization
-            .split_message(message_flits, self.config.geometry)
-            .len() as u32
+    /// The graph-based bound of flow `id` over its steady-state `base` bound
+    /// for a `slices`-slice message.  The burst term depends on the curve
+    /// and the message size, so it is composed here rather than cached.
+    fn burst(&self, id: FlowId, base: u64, slices: u32) -> Option<u64> {
+        let model = self.graph.as_ref()?;
+        let route = self.flows.route(id)?;
+        Some(burst_bound(base, model.curve(), || {
+            model.service_slot(route, slices)
+        }))
     }
 
     /// Dense index of a `(router, output)` contention column.
@@ -799,9 +670,11 @@ impl IncrementalAnalysis {
                     keys.push(column);
                 }
             }
-            if self.buffer_aware.is_some() {
+            if self.graph.is_some() {
                 for hop in route.hops() {
-                    if let Some(key) = hop_depth_key(&self.mesh, hop) {
+                    let key =
+                        BufferConfig::hop_buffer(&self.mesh, hop.router, hop.input, hop.output);
+                    if let Some(key) = key {
                         if !dkeys.contains(&key) {
                             dkeys.push(key);
                         }
@@ -840,13 +713,6 @@ impl IncrementalAnalysis {
     /// and invalidates the cached terms of the flows whose read sets the
     /// resulting change events touch.
     fn apply_route_events(&mut self, route: &crate::routing::Route, add: bool) {
-        if let Some(counts) = &mut self.counts {
-            if add {
-                counts.add_route(route);
-            } else {
-                counts.remove_route(route);
-            }
-        }
         let delta = self
             .regular
             .as_mut()
@@ -855,9 +721,6 @@ impl IncrementalAnalysis {
             .weighted
             .as_mut()
             .map(|model| model.weights_mut().apply_route_delta(route, add));
-        if let Some(model) = &mut self.buffer_aware {
-            model.weights_mut().apply_route_delta(route, add);
-        }
         if let Some(model) = &mut self.graph {
             model.base_mut().weights_mut().apply_route_delta(route, add);
         }
@@ -897,10 +760,9 @@ impl IncrementalAnalysis {
         let terms = {
             let Self {
                 flows,
-                counts,
                 regular,
                 weighted,
-                buffer_aware,
+                graph,
                 config,
                 ..
             } = self;
@@ -914,27 +776,25 @@ impl IncrementalAnalysis {
                 terms.bp_packet = model.backpressured_packet_wctt(route);
                 terms.bottleneck = model.bottleneck_flows(route);
             }
-            if let Some(model) = buffer_aware {
-                terms.ba_packet = model.packet_wctt(route);
+            if let Some(model) = graph {
+                terms.ba_packet = model.base().packet_wctt(route);
             }
-            let mut worst = 1u32;
-            for hop in route.hops() {
-                let contenders = match config.arbitration {
-                    // The slot oracle's "others with support" filter is
-                    // exactly the regular model's contender count, already
-                    // held in dense form — no second count structure read.
-                    ArbitrationPolicy::RoundRobin => {
-                        let model = regular.as_ref().expect("round robin keeps regular");
-                        model.contender_count(hop.router, hop.input, hop.output) + 1
-                    }
-                    ArbitrationPolicy::Waw => {
-                        let counts = counts.as_ref().expect("WaW maintains counts");
-                        counts.output_count(hop.router, hop.output).max(1) as u32
-                    }
-                };
-                worst = worst.max(contenders);
-            }
-            terms.slot_contenders = worst;
+            // The slot oracle's contention reads, served from the dense
+            // structures the engine already maintains: the regular model's
+            // pair supports under round robin, the weight table under WaW.
+            let (regular, weighted) = (&*regular, &*weighted);
+            terms.slot_contenders = slot::route_contenders(
+                config.arbitration,
+                route,
+                |hop| {
+                    let model = regular.as_ref().expect("round robin keeps regular");
+                    model.contender_count(hop.router, hop.input, hop.output)
+                },
+                |hop| {
+                    let model = weighted.as_ref().expect("WaW keeps weighted");
+                    model.weights().output_flows(hop.router, hop.output)
+                },
+            );
             terms
         };
         self.cache[index] = Some(terms);
@@ -957,47 +817,11 @@ impl IncrementalAnalysis {
     }
 }
 
-/// `RegularWcttModel::route_wctt(route, own)` recomposed from the cached
-/// own-size-independent prefix: the own size enters the bound only as the
-/// final `saturating_add(own − 1)`.
-fn regular_packet(base: u64, own_flits: u32) -> u64 {
-    base.saturating_add(u64::from(own_flits.saturating_sub(1)))
-}
-
-/// `PreemptiveOracle::packet_wctt` at zero preemption delay (single VC).
-fn preemptive_packet(base: u64, factor: u64, own_flits: u32) -> u64 {
-    factor
-        .saturating_mul(regular_packet(base, own_flits))
-        .saturating_add(0)
-        .min(SATURATION_SENTINEL)
-}
-
-/// `SlotOracle::envelope` recomposed from the cached per-route maximum
-/// contender count (the per-hop latency is monotone in the contender count,
-/// so the maximum hop decides the envelope).
-fn slot_envelope(contenders: u32, contender_flits: u32, own_flits: u32) -> u64 {
-    u64::from(own_flits).max(slot::contended_port_latency(
-        contenders,
-        contender_flits,
-        own_flits,
-    ))
-}
-
-/// `WeightedWcttModel::message_wctt` (and its backpressured / buffer-aware
-/// siblings, which share the composition) from a cached per-packet bound and
-/// bottleneck.
-fn weighted_message(per_packet: u64, bottleneck: u32, slice_flits: u32, slices: u32) -> u64 {
-    if slices <= 1 {
-        return per_packet;
-    }
-    let round = u64::from(bottleneck) * u64::from(slice_flits);
-    per_packet + u64::from(slices - 1) * round
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::oracle::oracle_suite_with_vcs;
+    use crate::analysis::preemptive::SATURATION_SENTINEL;
     use crate::geometry::Coord;
     use crate::vc::VcAssignment;
 

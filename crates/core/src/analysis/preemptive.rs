@@ -46,7 +46,7 @@ use crate::buffers::BufferConfig;
 use crate::config::{NocConfig, RouterTiming};
 use crate::flow::{FlowId, FlowSet};
 use crate::geometry::Coord;
-use crate::packetization::PacketizationPolicy;
+use crate::packetization::regular_sizes;
 use crate::port::Port;
 use crate::vc::VcConfig;
 
@@ -94,7 +94,6 @@ pub struct PreemptiveOracle {
     flows: FlowSet,
     timing: RouterTiming,
     max_packet_flits: u32,
-    geometry: crate::packetization::PhitGeometry,
     depth_factor: u64,
     /// Per-flow VC (= priority class, 0 highest).
     priority: Vec<u8>,
@@ -136,7 +135,6 @@ impl PreemptiveOracle {
             flows: flows.clone(),
             timing: config.timing,
             max_packet_flits,
-            geometry: config.geometry,
             depth_factor: Self::depth_envelope_factor(config, buffers),
             priority,
             hp_interferers,
@@ -294,16 +292,14 @@ impl PreemptiveOracle {
             return None;
         }
         let preemption = self.preemption_delay(id.0)?;
-        if preemption >= SATURATION_SENTINEL {
-            return Some(SATURATION_SENTINEL);
-        }
         let factor = self.depth_factor;
         let Self { base, flows, .. } = self;
         let route = flows.route(id)?;
-        let bound = factor
-            .saturating_mul(base.route_wctt(route, own_flits))
-            .saturating_add(preemption);
-        Some(bound.min(SATURATION_SENTINEL))
+        Some(packet_bound(
+            factor,
+            base.route_wctt(route, own_flits),
+            preemption,
+        ))
     }
 }
 
@@ -317,24 +313,46 @@ impl crate::analysis::oracle::WcttBoundModel for PreemptiveOracle {
     }
 
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64> {
-        let packets = PacketizationPolicy::Regular {
-            max_packet_flits: self.max_packet_flits,
-        }
-        .split_message(message_flits, self.geometry);
-        let mut total = 0u64;
-        for &size in &packets {
-            total = total.saturating_add(self.packet_wctt(id, size)?);
-        }
-        // Every inter-packet gap re-opens a full blocking round for
-        // cross-traffic that queued up in downstream FIFOs between the
-        // packets of the train — the repair of the composition campaigns
-        // proved unsound (observed ≤ 1.15 · Σ; this charges ≈ 2 · Σ).
-        if packets.len() > 1 {
-            let round = self.packet_wctt(id, self.max_packet_flits)?;
-            total = total.saturating_add((packets.len() as u64 - 1).saturating_mul(round));
-        }
-        Some(total.min(SATURATION_SENTINEL))
+        let max_packet_flits = self.max_packet_flits;
+        let packets = regular_sizes(max_packet_flits, message_flits);
+        train_bound(packets, max_packet_flits, |size| self.packet_wctt(id, size))
     }
+}
+
+/// The preemptive packet bound: the depth envelope `factor` times the
+/// `chained` blocking bound of the packet, plus the `preemption` delay from
+/// higher-priority VCs; a diverged preemption pins [`SATURATION_SENTINEL`].
+pub(crate) fn packet_bound(factor: u64, chained: u64, preemption: u64) -> u64 {
+    if preemption >= SATURATION_SENTINEL {
+        return SATURATION_SENTINEL;
+    }
+    factor
+        .saturating_mul(chained)
+        .saturating_add(preemption)
+        .min(SATURATION_SENTINEL)
+}
+
+/// The preemptive train composition over the wire `packets` of a message:
+/// `Σ packet(size) + (packets − 1) · packet(max_packet_flits)`.  Every
+/// inter-packet gap re-opens a full blocking round for cross-traffic that
+/// queued up in downstream FIFOs between the packets of the train — the
+/// repair of the composition campaigns proved unsound (observed ≤ 1.15 · Σ;
+/// this charges ≈ 2 · Σ).
+pub(crate) fn train_bound(
+    packets: impl ExactSizeIterator<Item = u32>,
+    max_packet_flits: u32,
+    mut packet: impl FnMut(u32) -> Option<u64>,
+) -> Option<u64> {
+    let count = packets.len() as u64;
+    let mut total = 0u64;
+    for size in packets {
+        total = total.saturating_add(packet(size)?);
+    }
+    if count > 1 {
+        let round = packet(max_packet_flits)?;
+        total = total.saturating_add((count - 1).saturating_mul(round));
+    }
+    Some(total.min(SATURATION_SENTINEL))
 }
 
 #[cfg(test)]

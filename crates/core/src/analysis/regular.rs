@@ -39,6 +39,7 @@
 //! orders-of-magnitude WCTT blow-up with network size that Table II of the
 //! paper reports for the regular mesh.
 
+use crate::analysis::slot;
 use crate::config::RouterTiming;
 use crate::flow::FlowSet;
 use crate::geometry::Coord;
@@ -179,10 +180,7 @@ impl RegularWcttModel {
     /// towards `output` at `router` — the contenders a packet entering through
     /// `input` can find requesting the same output.
     pub fn contender_count(&self, router: Coord, input: Port, output: Port) -> u32 {
-        Port::ALL
-            .iter()
-            .filter(|&&p| p != input && p != output && self.pair_flows(router, p, output) > 0)
-            .count() as u32
+        slot::other_inputs(input, output, |p| self.pair_flows(router, p, output) > 0)
     }
 
     /// Worst-case time for one granted maximum-size contender packet to
@@ -333,20 +331,36 @@ impl RegularWcttModel {
                 .saturating_add(u64::from(timing.router_cycles))
                 .saturating_add(self.blocking(hop.router, hop.input, hop.output));
         }
-        total
+        let single_flit = total
             .saturating_add(u64::from(timing.link_cycles) * u64::from(route.hop_count()))
-            .saturating_add(u64::from(timing.ejection_cycles))
-            .saturating_add(u64::from(own_flits.saturating_sub(1)))
+            .saturating_add(u64::from(timing.ejection_cycles));
+        own_size_bound(single_flit, own_flits)
     }
 
     /// Conservative WCTT bound for a message split into several packets: each
     /// packet is assumed to suffer the full per-packet bound back to back.
     pub fn message_wctt(&mut self, route: &Route, packet_flit_sizes: &[u32]) -> u64 {
-        packet_flit_sizes
-            .iter()
-            .map(|&s| self.route_wctt(route, s))
-            .fold(0u64, u64::saturating_add)
+        packet_sum(self.route_wctt(route, 1), packet_flit_sizes.iter().copied())
     }
+}
+
+/// The chained-blocking bound of one `own_flits`-flit packet from the
+/// route's single-flit bound: the own size enters only as the final
+/// serialisation term `own − 1`.
+pub(crate) fn own_size_bound(single_flit: u64, own_flits: u32) -> u64 {
+    single_flit.saturating_add(u64::from(own_flits.saturating_sub(1)))
+}
+
+/// The `Σ` message composition: every packet of `packet_flit_sizes` pays its
+/// full per-packet bound, back to back.
+pub(crate) fn packet_sum(
+    single_flit: u64,
+    packet_flit_sizes: impl IntoIterator<Item = u32>,
+) -> u64 {
+    packet_flit_sizes
+        .into_iter()
+        .map(|size| own_size_bound(single_flit, size))
+        .fold(0u64, u64::saturating_add)
 }
 
 #[cfg(test)]

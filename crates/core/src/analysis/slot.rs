@@ -13,6 +13,11 @@
 //! The paper's worked example uses `k = 4` contending input ports, giving
 //! `3·L + S` vs `3·m + m`.
 
+use crate::arbitration::ArbitrationPolicy;
+use crate::packetization::PacketizationPolicy;
+use crate::port::Port;
+use crate::routing::{Hop, Route};
+
 /// Worst-case latency (in flit cycles) for an `own_flits`-long packet to clear
 /// an output port contended by `contending_inputs` input ports in total
 /// (including its own), when every other contender may transmit a packet of
@@ -32,6 +37,58 @@
 pub fn contended_port_latency(contending_inputs: u32, contender_flits: u32, own_flits: u32) -> u64 {
     let others = u64::from(contending_inputs.saturating_sub(1));
     others * u64::from(contender_flits) + u64::from(own_flits)
+}
+
+/// The slot envelope of a route whose most contended hop has `contenders`
+/// contending input ports: the single-port latency of that hop, and never
+/// less than the packet's own `own_flits`.  [`contended_port_latency`] is
+/// monotone in the contender count, so the most contended hop is the only
+/// one that matters.
+pub(crate) fn envelope(contenders: u32, contender_flits: u32, own_flits: u32) -> u64 {
+    u64::from(own_flits).max(contended_port_latency(
+        contenders,
+        contender_flits,
+        own_flits,
+    ))
+}
+
+/// Contending input ports at the most contended hop of `route`, the
+/// packet's own included (at least 1).  Round robin arbitrates between input
+/// ports, so a hop counts its `other_inputs` plus the packet's own; WaW
+/// shares the port between the `output_flows` flows using it.
+pub(crate) fn route_contenders(
+    arbitration: ArbitrationPolicy,
+    route: &Route,
+    other_inputs: impl Fn(&Hop) -> u32,
+    output_flows: impl Fn(&Hop) -> u32,
+) -> u32 {
+    route
+        .hops()
+        .iter()
+        .map(|hop| match arbitration {
+            ArbitrationPolicy::RoundRobin => other_inputs(hop) + 1,
+            ArbitrationPolicy::Waw => output_flows(hop).max(1),
+        })
+        .fold(1, u32::max)
+}
+
+/// Input ports other than the packet's own `input` that `carries` a flow
+/// towards `output`: the contenders round robin serves before it.
+pub(crate) fn other_inputs(input: Port, output: Port, carries: impl Fn(Port) -> bool) -> u32 {
+    Port::ALL
+        .iter()
+        .filter(|&&p| p != input && p != output && carries(p))
+        .count() as u32
+}
+
+/// The flits the envelope charges the packet under analysis on a packet
+/// query: the queried size under regular packetization, one minimum slice
+/// under WaP (every WaP wire packet is a slice).
+pub(crate) fn packet_flits(packetization: PacketizationPolicy, own_flits: u32) -> u32 {
+    match packetization {
+        PacketizationPolicy::Regular { .. } => own_flits,
+        PacketizationPolicy::Wap { min_packet_flits } => min_packet_flits,
+    }
 }
 
 /// The improvement factor of WaP over regular packetization for a single

@@ -136,14 +136,6 @@ impl UbdModel {
         &self.config
     }
 
-    /// Number of packets an `message_flits`-flit message occupies on the wire
-    /// under the active packetization policy, together with their sizes.
-    fn packets_for(&self, message_flits: u32) -> Vec<u32> {
-        self.config
-            .packetization
-            .split_message(message_flits, self.config.geometry)
-    }
-
     /// WCTT bound for one `message_flits`-flit message following `route`: the
     /// message is split according to the active packetization policy and the
     /// packets are composed through the design's WCTT model.  This is the
@@ -151,7 +143,7 @@ impl UbdModel {
     /// conformance oracle ([`crate::analysis::oracle::UbdOracle`]) can query
     /// per-flow bounds directly.
     pub fn route_message_bound(&mut self, route: &Route, message_flits: u32) -> u64 {
-        let packets = self.packets_for(message_flits);
+        let packets = self.config.wire_packets(message_flits);
         match (&mut self.regular, &self.weighted) {
             (Some(model), _) => model.message_wctt(route, &packets),
             (None, Some(model)) => model.message_wctt(route, packets.len() as u32),
@@ -232,11 +224,11 @@ mod tests {
         let (_mesh, flows, _memory) = platform(4);
         let model = UbdModel::new(NocConfig::waw_wap(), &flows).unwrap();
         // A 4-flit cache line becomes 5 single-flit slices under WaP.
-        assert_eq!(model.packets_for(4), vec![1, 1, 1, 1, 1]);
-        assert_eq!(model.packets_for(1), vec![1]);
+        assert_eq!(model.config().wire_packets(4), vec![1, 1, 1, 1, 1]);
+        assert_eq!(model.config().wire_packets(1), vec![1]);
         let regular = UbdModel::new(NocConfig::regular(4), &flows).unwrap();
-        assert_eq!(regular.packets_for(4), vec![4]);
-        assert_eq!(regular.packets_for(10), vec![4, 4, 2]);
+        assert_eq!(regular.config().wire_packets(4), vec![4]);
+        assert_eq!(regular.config().wire_packets(10), vec![4, 4, 2]);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! paper (Table II).
 
 use crate::config::RouterTiming;
-use crate::routing::Route;
+use crate::routing::{Hop, Route};
 use crate::weights::WeightTable;
 
 /// Evaluator of the WaW + WaP WCTT bound.
@@ -93,28 +93,21 @@ impl WeightedWcttModel {
     /// Number of flows sharing the most contended output port on `route`
     /// (the bottleneck the slices of a message pipeline behind).
     pub fn bottleneck_flows(&self, route: &Route) -> u32 {
-        route
-            .hops()
-            .iter()
-            .map(|h| self.weights.output_flows(h.router, h.output))
-            .max()
-            .unwrap_or(0)
-            .max(1)
+        bottleneck_flows(&self.weights, route)
     }
 
     /// WCTT bound for a single `m`-flit packet (slice) following `route`.
     pub fn packet_wctt(&self, route: &Route) -> u64 {
-        let timing = self.timing;
         let m = u64::from(self.slice_flits);
-        let mut total = 0u64;
-        for hop in route.hops() {
-            let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
-            total += u64::from(timing.router_cycles) + (flows - 1) * m;
-        }
-        total
-            + u64::from(timing.link_cycles) * u64::from(route.hop_count())
-            + u64::from(timing.ejection_cycles)
-            + (m - 1)
+        let hops: u64 = route
+            .hops()
+            .iter()
+            .map(|hop| {
+                let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
+                paper_hop(self.timing, flows, m)
+            })
+            .sum();
+        hops + route_tail(self.timing, route, m)
     }
 
     /// WCTT bound for a message sliced into `slices` packets following `route`.
@@ -122,12 +115,12 @@ impl WeightedWcttModel {
     /// The first slice pays the full per-packet bound; each subsequent slice
     /// adds one arbitration round of the bottleneck port.
     pub fn message_wctt(&self, route: &Route, slices: u32) -> u64 {
-        let per_packet = self.packet_wctt(route);
-        if slices <= 1 {
-            return per_packet;
-        }
-        let round = u64::from(self.bottleneck_flows(route)) * u64::from(self.slice_flits);
-        per_packet + u64::from(slices - 1) * round
+        pipelined(
+            self.packet_wctt(route),
+            self.bottleneck_flows(route),
+            self.slice_flits,
+            slices,
+        )
     }
 
     /// Per-packet WCTT bound that additionally accounts for *round dilation
@@ -156,37 +149,78 @@ impl WeightedWcttModel {
     /// paper's single-destination evaluation platform); see
     /// [`crate::flow::FlowSet::is_output_consistent`].
     pub fn backpressured_packet_wctt(&self, route: &Route) -> u64 {
-        let timing = self.timing;
         let m = u64::from(self.slice_flits);
-        let hops = route.hops();
-        let mut dilated_rounds = vec![0u64; hops.len()];
-        let mut suffix_max = 1u64;
-        for (index, hop) in hops.iter().enumerate().rev() {
-            let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
-            suffix_max = suffix_max.max(flows);
-            dilated_rounds[index] = suffix_max;
-        }
-        let mut total = 0u64;
-        for round in dilated_rounds {
-            total += u64::from(timing.router_cycles) + round * m;
-        }
-        total
-            + u64::from(timing.link_cycles) * u64::from(route.hop_count())
-            + u64::from(timing.ejection_cycles)
-            + (m - 1)
+        let router = u64::from(self.timing.router_cycles);
+        let hops: u64 = dilated_hops(&self.weights, route)
+            .map(|(_, _, dilated)| router + dilated * m)
+            .sum();
+        hops + route_tail(self.timing, route, m)
     }
 
     /// Message-level companion of
     /// [`WeightedWcttModel::backpressured_packet_wctt`]: each extra slice adds
     /// one dilated bottleneck round.
     pub fn backpressured_message_wctt(&self, route: &Route, slices: u32) -> u64 {
-        let per_packet = self.backpressured_packet_wctt(route);
-        if slices <= 1 {
-            return per_packet;
-        }
-        let round = u64::from(self.bottleneck_flows(route)) * u64::from(self.slice_flits);
-        per_packet + u64::from(slices - 1) * round
+        pipelined(
+            self.backpressured_packet_wctt(route),
+            self.bottleneck_flows(route),
+            self.slice_flits,
+            slices,
+        )
     }
+}
+
+/// The paper's per-hop term `router + (O − 1) · m`: the wait for the
+/// packet's own slot in one undilated arbitration round of a port shared by
+/// `flows` flows.
+pub(crate) fn paper_hop(timing: RouterTiming, flows: u64, m: u64) -> u64 {
+    u64::from(timing.router_cycles) + (flows - 1) * m
+}
+
+/// The per-route tail `hops · link + eject + (m − 1)`: link traversals,
+/// ejection and the slice's own serialisation.
+pub(crate) fn route_tail(timing: RouterTiming, route: &Route, m: u64) -> u64 {
+    u64::from(timing.link_cycles) * u64::from(route.hop_count())
+        + u64::from(timing.ejection_cycles)
+        + (m - 1)
+}
+
+/// The hops of `route`, destination first, each with its flow count `O`
+/// (at least 1) and its dilated round factor `O*`: the suffix maximum of the
+/// flow counts from the hop to the destination, since under credit
+/// backpressure the hottest downstream port sets every upstream drain rate.
+pub(crate) fn dilated_hops<'a>(
+    weights: &'a WeightTable,
+    route: &'a Route,
+) -> impl Iterator<Item = (&'a Hop, u64, u64)> + 'a {
+    let mut suffix_max = 1u64;
+    route.hops().iter().rev().map(move |hop| {
+        let flows = u64::from(weights.output_flows(hop.router, hop.output)).max(1);
+        suffix_max = suffix_max.max(flows);
+        (hop, flows, suffix_max)
+    })
+}
+
+/// Flows sharing the most contended output port on `route` (at least 1).
+pub(crate) fn bottleneck_flows(weights: &WeightTable, route: &Route) -> u32 {
+    route
+        .hops()
+        .iter()
+        .map(|h| weights.output_flows(h.router, h.output))
+        .max()
+        .unwrap_or(0)
+        .max(1)
+}
+
+/// Slice pipelining: the first of `slices` slices pays `per_packet`, and
+/// each further slice one arbitration round `bottleneck · m` of the
+/// bottleneck port.
+pub(crate) fn pipelined(per_packet: u64, bottleneck: u32, slice_flits: u32, slices: u32) -> u64 {
+    if slices <= 1 {
+        return per_packet;
+    }
+    let round = u64::from(bottleneck) * u64::from(slice_flits);
+    per_packet + u64::from(slices - 1) * round
 }
 
 #[cfg(test)]

@@ -214,20 +214,28 @@ impl BufferConfig {
         input: Port,
         output: Port,
     ) -> u32 {
+        match Self::hop_buffer(mesh, router, input, output) {
+            Some((node, port)) => self.credits_towards(node, port),
+            None => self.min_depth(),
+        }
+    }
+
+    /// The `(node, input port)` buffer whose depth [`BufferConfig::hop_depth`]
+    /// reads for a hop: the downstream input buffer a mesh output drains
+    /// into, or the hop's own input buffer for the ejection output.  `None`
+    /// for a hop off the mesh or an output facing its edge.
+    pub(crate) fn hop_buffer(
+        mesh: &Mesh,
+        router: crate::geometry::Coord,
+        input: Port,
+        output: Port,
+    ) -> Option<(NodeId, Port)> {
         match output {
             Port::Mesh(dir) => {
-                let Some(downstream) = mesh.neighbor(router, dir) else {
-                    return self.min_depth();
-                };
-                let Ok(node) = mesh.node_id(downstream) else {
-                    return self.min_depth();
-                };
-                self.credits_towards(node, Port::Mesh(dir.opposite()))
+                let downstream = mesh.neighbor(router, dir)?;
+                Some((mesh.node_id(downstream).ok()?, Port::Mesh(dir.opposite())))
             }
-            Port::Local => match mesh.node_id(router) {
-                Ok(node) => self.depth(node, input),
-                Err(_) => self.min_depth(),
-            },
+            Port::Local => Some((mesh.node_id(router).ok()?, input)),
         }
     }
 }

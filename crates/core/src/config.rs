@@ -173,6 +173,19 @@ impl NocConfig {
         Ok(())
     }
 
+    /// The wire packets of a `message_flits`-flit message under the active
+    /// packetization policy.
+    pub(crate) fn wire_packets(&self, message_flits: u32) -> Vec<u32> {
+        self.packetization
+            .split_message(message_flits, self.geometry)
+    }
+
+    /// Number of wire packets (WaP slices) a `message_flits`-flit message
+    /// occupies.
+    pub(crate) fn slices(&self, message_flits: u32) -> u32 {
+        self.wire_packets(message_flits).len() as u32
+    }
+
     /// Short human-readable label ("regular(L=4)", "WaW+WaP", ...).
     pub fn label(&self) -> String {
         match (self.arbitration, self.packetization) {

@@ -144,15 +144,7 @@ impl PacketizationPolicy {
     pub fn split_message(&self, message_flits: u32, geometry: PhitGeometry) -> Vec<u32> {
         match *self {
             PacketizationPolicy::Regular { max_packet_flits } => {
-                let take_at_most = max_packet_flits.max(1);
-                let mut sizes = Vec::new();
-                let mut remaining = message_flits;
-                while remaining > 0 {
-                    let take = remaining.min(take_at_most);
-                    sizes.push(take);
-                    remaining -= take;
-                }
-                sizes
+                regular_sizes(max_packet_flits, message_flits).collect()
             }
             PacketizationPolicy::Wap { min_packet_flits } => {
                 let payload_bits = (message_flits * geometry.link_width_bits)
@@ -180,6 +172,18 @@ impl PacketizationPolicy {
         }
         Ok(())
     }
+}
+
+/// Sizes of the greedy maximum-size packets a `message_flits`-flit message
+/// occupies under regular packetization at `max_packet_flits` (at least 1):
+/// full packets, then the remainder.
+pub(crate) fn regular_sizes(
+    max_packet_flits: u32,
+    message_flits: u32,
+) -> impl ExactSizeIterator<Item = u32> {
+    let max = max_packet_flits.max(1);
+    let count = message_flits.div_ceil(max);
+    (0..count).map(move |index| (message_flits - index * max).min(max))
 }
 
 impl Default for PacketizationPolicy {

@@ -153,11 +153,12 @@ impl BufferAwareWcttModel {
         &mut self.weights
     }
 
-    /// Replaces the buffer configuration (a single-depth design mutation);
-    /// the model has no memoised state, so subsequent bounds are identical
-    /// to a freshly-built model over the new configuration.
-    pub fn set_buffers(&mut self, buffers: BufferConfig) {
-        self.buffers = buffers;
+    /// Mutable access to the buffer configuration, for the incremental
+    /// analysis engine's in-place single-depth writes.  The model has no
+    /// memoised state, so subsequent bounds are identical to a freshly-built
+    /// model over the edited configuration.
+    pub(crate) fn buffers_mut(&mut self) -> &mut BufferConfig {
+        &mut self.buffers
     }
 
     /// The paper-form / backpressured reference model over the same weights

@@ -33,16 +33,24 @@
 //! [`crate::weights::WeightTable::apply_route_delta`] reports every output
 //! port whose flow count changed (the weighted bounds read magnitudes).
 //! Global knobs stay out of the per-flow cache entirely: the preemptive depth
-//! envelope factor is recomputed per depth mutation and applied at query
-//! time, and a VC reassignment under multiple VCs rebuilds the preemptive
-//! interference state wholesale (its interference sets can all change).
-
-use std::collections::{HashMap, HashSet};
+//! envelope factor is updated per depth mutation from a histogram of the
+//! buffer plan's depths and applied at query time, and a VC reassignment
+//! under multiple VCs rebuilds the preemptive interference state wholesale
+//! (its interference sets can all change).
+//!
+//! # Cost of a mutation
+//!
+//! Every mutation writes in place and touches only what it changes: a
+//! `SetBufferDepth` writes one table entry and moves one histogram count; a
+//! `MoveFlow` re-traces one route into its own hop buffer and walks the
+//! invalidation closure of its old and new hops.  Change events, read sets
+//! and routes live in buffers the engine owns and reuses, so once they have
+//! grown to their high-water mark a round-robin mutation allocates nothing.
 
 use crate::analysis::graph_buffer_aware::burst_bound;
 use crate::analysis::oracle::WcttBoundModel;
 use crate::analysis::preemptive::{self, PreemptiveOracle};
-use crate::analysis::regular::{self, own_size_bound, RegularWcttModel};
+use crate::analysis::regular::{self, own_size_bound, RegularWcttModel, RouteDelta};
 use crate::analysis::slot;
 use crate::analysis::weighted::{pipelined, WeightedWcttModel};
 use crate::analysis::{BufferAwareWcttModel, GraphBufferAwareWcttModel};
@@ -196,6 +204,59 @@ struct FlowTerms {
     slot_contenders: u32,
 }
 
+/// The multiset of a buffer plan's depths, one count per `(node, port)`
+/// table entry, as `(depth, entries)` pairs sorted by depth: the minimum and
+/// maximum the depth envelope reads are the first and last pairs, and a
+/// single-depth mutation moves one count (a binary search over the k
+/// distinct depths, plus a shift of at most k pairs when a depth appears or
+/// vanishes).
+#[derive(Debug)]
+struct DepthHistogram(Vec<(u32, usize)>);
+
+impl DepthHistogram {
+    /// The histogram of `buffers` over `mesh`'s routers: a single pair for a
+    /// uniform plan, one count per table entry otherwise.
+    fn new(mesh: &Mesh, buffers: &BufferConfig) -> Self {
+        let entries = mesh.router_count() * Port::COUNT;
+        if let BufferConfig::Uniform { depth } = *buffers {
+            return Self(vec![(depth, entries)]);
+        }
+        let mut histogram = Self(Vec::new());
+        for node in (0..mesh.router_count()).map(NodeId) {
+            for port in Port::ALL {
+                histogram.insert(buffers.depth(node, port));
+            }
+        }
+        histogram
+    }
+
+    fn insert(&mut self, depth: u32) {
+        match self.0.binary_search_by_key(&depth, |&(d, _)| d) {
+            Ok(at) => self.0[at].1 += 1,
+            Err(at) => self.0.insert(at, (depth, 1)),
+        }
+    }
+
+    fn remove(&mut self, depth: u32) {
+        let at = self
+            .0
+            .binary_search_by_key(&depth, |&(d, _)| d)
+            .expect("removed depth is in the plan");
+        self.0[at].1 -= 1;
+        if self.0[at].1 == 0 {
+            self.0.remove(at);
+        }
+    }
+
+    /// The preemptive depth envelope factor of the plan.
+    fn factor(&self, config: &NocConfig) -> u64 {
+        let (Some(&(min, _)), Some(&(max, _))) = (self.0.first(), self.0.last()) else {
+            unreachable!("every mesh has at least one input buffer")
+        };
+        preemptive::depth_factor(config, min, max)
+    }
+}
+
 /// Incremental engine over every analysis applicable to one arbitration
 /// policy.  Build it once for a seed design, [`IncrementalAnalysis::apply`]
 /// mutations, and query bounds that are bit-identical to freshly-constructed
@@ -243,8 +304,10 @@ pub struct IncrementalAnalysis {
     /// message size), so the arrival-curve knob never touches the per-flow
     /// term cache.
     graph: Option<GraphBufferAwareWcttModel>,
+    /// Histogram of `buffers`' depths, the source of `depth_factor`.
+    depths: DepthHistogram,
     /// The preemptive depth envelope factor of the current buffer plan,
-    /// recomputed per depth mutation and applied at query time.
+    /// updated per depth mutation and applied at query time.
     depth_factor: u64,
     /// Multi-VC preemptive state (priorities, interference sets, response
     /// iterations), rebuilt wholesale when flows or VCs change: a VC
@@ -265,10 +328,16 @@ pub struct IncrementalAnalysis {
     /// that column.  Dense by column so mutation-time invalidation never
     /// hashes.
     port_readers: Vec<Vec<u32>>,
-    /// Per-flow buffer read set (WaW only: the buffer-aware terms).
-    depth_keys: Vec<Vec<(NodeId, Port)>>,
-    /// Reverse index of `depth_keys`.
-    depth_readers: HashMap<(NodeId, Port), HashSet<usize>>,
+    /// Per-flow buffer read set (WaW only: the buffer-aware terms): the
+    /// dense buffer index (`node · 5 + input port`) of every buffer the
+    /// flow's hops drain into.
+    depth_keys: Vec<Vec<u32>>,
+    /// Reverse index of `depth_keys`, dense by buffer like `port_readers`
+    /// (empty under round robin, where no cached term reads a depth).
+    depth_readers: Vec<Vec<u32>>,
+    /// Scratch of [`IncrementalAnalysis::apply_route_events`]: the regular
+    /// model's change events.
+    delta: RouteDelta,
 }
 
 impl IncrementalAnalysis {
@@ -322,6 +391,8 @@ impl IncrementalAnalysis {
         };
         let n = flows.len();
         let columns = mesh.router_count() * Port::COUNT;
+        let depths = DepthHistogram::new(&mesh, buffers);
+        let buffer_count = if graph.is_some() { columns } else { 0 };
         let mut engine = Self {
             mesh,
             config: *config,
@@ -331,7 +402,8 @@ impl IncrementalAnalysis {
             regular,
             weighted,
             graph,
-            depth_factor: PreemptiveOracle::depth_envelope_factor(config, buffers),
+            depth_factor: depths.factor(config),
+            depths,
             preemptive: None,
             preemptive_dirty: true,
             faults: FaultSet::empty(&mesh),
@@ -339,7 +411,8 @@ impl IncrementalAnalysis {
             flow_keys: vec![Vec::new(); n],
             port_readers: vec![Vec::new(); columns],
             depth_keys: vec![Vec::new(); n],
-            depth_readers: HashMap::new(),
+            depth_readers: vec![Vec::new(); buffer_count],
+            delta: RouteDelta::default(),
         };
         for index in 0..n {
             engine.index_flow(index);
@@ -414,11 +487,13 @@ impl IncrementalAnalysis {
         }
         match *mutation {
             Mutation::MoveFlow { id, src, dst } => {
-                let old_route = self.flows.replace_pair(id, src, dst)?;
+                self.flows.check_replacement(id, src, dst)?;
                 self.unindex_flow(id.0);
-                self.apply_route_events(&old_route, false);
-                let new_route = self.flows.route(id).expect("just replaced").clone();
-                self.apply_route_events(&new_route, true);
+                self.apply_route_events(id.0, false);
+                self.flows
+                    .replace_pair(id, src, dst)
+                    .expect("endpoints validated above");
+                self.apply_route_events(id.0, true);
                 self.index_flow(id.0);
                 self.cache[id.0] = None;
                 self.preemptive_dirty = true;
@@ -428,8 +503,7 @@ impl IncrementalAnalysis {
                 self.cache.push(None);
                 self.flow_keys.push(Vec::new());
                 self.depth_keys.push(Vec::new());
-                let route = self.flows.route(id).expect("just pushed").clone();
-                self.apply_route_events(&route, true);
+                self.apply_route_events(id.0, true);
                 self.index_flow(id.0);
                 self.preemptive_dirty = true;
             }
@@ -442,28 +516,41 @@ impl IncrementalAnalysis {
                         reason: "cannot remove a flow from an empty set".to_string(),
                     })?;
                 self.unindex_flow(index);
-                let (_flow, route) = self.flows.pop().expect("checked non-empty");
+                self.apply_route_events(index, false);
+                self.flows.pop();
                 self.cache.pop();
                 self.flow_keys.pop();
                 self.depth_keys.pop();
-                self.apply_route_events(&route, false);
                 self.preemptive_dirty = true;
             }
             Mutation::SetBufferDepth { node, port, depth } => {
-                let buffers = self
-                    .buffers
-                    .with_buffer_depth(&self.mesh, node, port, depth);
-                buffers.validate(&self.mesh)?;
-                self.buffers = buffers;
-                if let Some(model) = &mut self.graph {
-                    model.base_mut().set_buffers(self.buffers.clone());
+                if node.index() >= self.mesh.router_count() || depth == 0 {
+                    return Err(Error::InvalidConfig {
+                        reason: format!(
+                            "cannot set buffer {node}/{port} of a {} mesh to depth {depth}",
+                            self.mesh.dims()
+                        ),
+                    });
                 }
-                self.depth_factor =
-                    PreemptiveOracle::depth_envelope_factor(&self.config, &self.buffers);
-                if let Some(readers) = self.depth_readers.get(&(node, port)) {
-                    for &index in readers {
-                        self.cache[index] = None;
-                    }
+                let old = self
+                    .buffers
+                    .set_buffer_depth(&self.mesh, node, port, depth)
+                    .expect("node checked above");
+                if old == depth {
+                    return Ok(());
+                }
+                if let Some(model) = &mut self.graph {
+                    model
+                        .base_mut()
+                        .buffers_mut()
+                        .set_buffer_depth(&self.mesh, node, port, depth);
+                }
+                self.depths.remove(old);
+                self.depths.insert(depth);
+                self.depth_factor = self.depths.factor(&self.config);
+                let readers = self.depth_readers.get(buffer_index(node, port));
+                for &index in readers.into_iter().flatten() {
+                    self.cache[index as usize] = None;
                 }
                 self.preemptive_dirty = true;
             }
@@ -651,103 +738,95 @@ impl IncrementalAnalysis {
         }))
     }
 
-    /// Dense index of a `(router, output)` contention column.
-    #[inline]
-    fn column_index(&self, router: Coord, output: Port) -> u32 {
-        let node = usize::from(router.y) * usize::from(self.mesh.width()) + usize::from(router.x);
-        (node * Port::COUNT + output.index()) as u32
-    }
-
-    /// Registers a flow's read sets in the reverse indexes.
+    /// Registers flow `index`'s read sets in the reverse indexes.  The
+    /// flow's key vectors are empty here (fresh, or cleared by
+    /// [`IncrementalAnalysis::unindex_flow`]) and are refilled in place.
     fn index_flow(&mut self, index: usize) {
-        let mut keys: Vec<u32> = Vec::new();
-        let mut dkeys: Vec<(NodeId, Port)> = Vec::new();
-        {
-            let route = self.flows.route(FlowId(index)).expect("indexed flow");
+        let Self {
+            mesh,
+            flows,
+            graph,
+            flow_keys,
+            port_readers,
+            depth_keys,
+            depth_readers,
+            ..
+        } = self;
+        let route = flows.route(FlowId(index)).expect("indexed flow");
+        let reader = index as u32;
+        // A route visits each router once, so its columns are distinct.
+        for hop in route.hops() {
+            let column = column_index(mesh, hop.router, hop.output);
+            flow_keys[index].push(column);
+            port_readers[column as usize].push(reader);
+        }
+        if graph.is_some() {
+            let keys = &mut depth_keys[index];
             for hop in route.hops() {
-                let column = self.column_index(hop.router, hop.output);
-                if !keys.contains(&column) {
-                    keys.push(column);
-                }
-            }
-            if self.graph.is_some() {
-                for hop in route.hops() {
-                    let key =
-                        BufferConfig::hop_buffer(&self.mesh, hop.router, hop.input, hop.output);
-                    if let Some(key) = key {
-                        if !dkeys.contains(&key) {
-                            dkeys.push(key);
-                        }
+                let buffer = BufferConfig::hop_buffer(mesh, hop.router, hop.input, hop.output);
+                if let Some((node, port)) = buffer {
+                    let key = buffer_index(node, port) as u32;
+                    if !keys.contains(&key) {
+                        keys.push(key);
+                        depth_readers[key as usize].push(reader);
                     }
                 }
             }
         }
-        for &column in &keys {
-            self.port_readers[column as usize].push(index as u32);
-        }
-        self.flow_keys[index] = keys;
-        for &key in &dkeys {
-            self.depth_readers.entry(key).or_default().insert(index);
-        }
-        self.depth_keys[index] = dkeys;
     }
 
-    /// Removes a flow's read sets from the reverse indexes.
+    /// Removes flow `index`'s read sets from the reverse indexes, clearing
+    /// its key vectors but keeping their capacity.
     fn unindex_flow(&mut self, index: usize) {
-        let keys = std::mem::take(&mut self.flow_keys[index]);
-        for &column in &keys {
-            let readers = &mut self.port_readers[column as usize];
-            if let Some(position) = readers.iter().position(|&f| f == index as u32) {
-                readers.swap_remove(position);
+        let reader = index as u32;
+        for (keys, readers) in [
+            (&mut self.flow_keys[index], &mut self.port_readers),
+            (&mut self.depth_keys[index], &mut self.depth_readers),
+        ] {
+            for &key in keys.iter() {
+                let list = &mut readers[key as usize];
+                if let Some(position) = list.iter().position(|&f| f == reader) {
+                    list.swap_remove(position);
+                }
             }
+            keys.clear();
         }
-        for key in &self.depth_keys[index] {
-            if let Some(readers) = self.depth_readers.get_mut(key) {
-                readers.remove(&index);
-            }
-        }
-        self.depth_keys[index].clear();
     }
 
-    /// Feeds one route add/remove through every delta-maintained structure
-    /// and invalidates the cached terms of the flows whose read sets the
-    /// resulting change events touch.
-    fn apply_route_events(&mut self, route: &crate::routing::Route, add: bool) {
-        let delta = self
-            .regular
-            .as_mut()
-            .map(|model| model.apply_route_delta(route, add));
-        let changed = self
-            .weighted
-            .as_mut()
-            .map(|model| model.weights_mut().apply_route_delta(route, add));
-        if let Some(model) = &mut self.graph {
-            model.base_mut().weights_mut().apply_route_delta(route, add);
-        }
-        let mut events: Vec<u32> = Vec::new();
-        let push_event = |events: &mut Vec<u32>, column: u32| {
-            if !events.contains(&column) {
-                events.push(column);
+    /// Feeds flow `index`'s current route, as an add or a remove, through
+    /// every delta-maintained structure and invalidates the cached terms of
+    /// the flows whose read sets the resulting change events touch.
+    fn apply_route_events(&mut self, index: usize, add: bool) {
+        let Self {
+            mesh,
+            flows,
+            regular,
+            weighted,
+            graph,
+            cache,
+            port_readers,
+            delta,
+            ..
+        } = self;
+        let route = flows.route(FlowId(index)).expect("indexed flow");
+        let mut invalidate = |router: Coord, output: Port| {
+            for &reader in &port_readers[column_index(mesh, router, output) as usize] {
+                cache[reader as usize] = None;
             }
         };
-        if let Some(delta) = &delta {
-            for &(router, output) in delta
-                .flipped_columns
-                .iter()
-                .chain(delta.dropped_drains.iter())
-            {
-                push_event(&mut events, self.column_index(router, output));
+        if let Some(model) = regular {
+            model.apply_route_delta(route, add, delta);
+            for &(router, output) in delta.flipped_columns.iter().chain(&delta.dropped_drains) {
+                invalidate(router, output);
             }
         }
-        if let Some(changed) = &changed {
-            for &(router, output) in changed {
-                push_event(&mut events, self.column_index(router, output));
+        if let Some(model) = weighted {
+            for (router, output) in model.weights_mut().apply_route_delta(route, add) {
+                invalidate(router, output);
             }
         }
-        for &column in &events {
-            for &index in &self.port_readers[column as usize] {
-                self.cache[index as usize] = None;
-            }
+        if let Some(model) = graph {
+            model.base_mut().weights_mut().apply_route_delta(route, add);
         }
     }
 
@@ -815,6 +894,19 @@ impl IncrementalAnalysis {
         }
         self.preemptive.as_mut().expect("just ensured")
     }
+}
+
+/// Dense index of a `(router, output)` contention column.
+#[inline]
+fn column_index(mesh: &Mesh, router: Coord, output: Port) -> u32 {
+    let node = usize::from(router.y) * usize::from(mesh.width()) + usize::from(router.x);
+    (node * Port::COUNT + output.index()) as u32
+}
+
+/// Dense index of a `(node, input port)` buffer.
+#[inline]
+fn buffer_index(node: NodeId, port: Port) -> usize {
+    node.index() * Port::COUNT + port.index()
 }
 
 #[cfg(test)]
@@ -1088,6 +1180,108 @@ mod tests {
             .is_err());
         // A failed validation leaves the engine untouched.
         check_against_suite(&mut engine);
+    }
+
+    #[test]
+    fn depth_histogram_tracks_min_and_max_through_apply_and_revert() {
+        use crate::port::Direction;
+        let config = NocConfig::regular(4);
+        let (mesh, flows) = setup(4);
+        let mut engine = IncrementalAnalysis::new(
+            &flows,
+            &config,
+            &BufferConfig::uniform(4),
+            VcConfig::single(),
+        )
+        .unwrap();
+        let interior = mesh.node_id(Coord::from_row_col(1, 2)).unwrap();
+        let other = mesh.node_id(Coord::from_row_col(2, 1)).unwrap();
+        let corner = mesh.node_id(Coord::from_row_col(0, 0)).unwrap();
+        let edge = mesh.node_id(Coord::from_row_col(3, 3)).unwrap();
+        let west = Port::Mesh(Direction::West);
+        // `(node, port, depth)` steps from uniform 4 out to a 1..64 plan and
+        // back.  The corner's north port and the edge router's east port face
+        // off the mesh, so they exist only as table entries; the re-set of
+        // an unchanged depth is a no-op; the later steps empty the 64 and 1
+        // buckets one entry at a time.
+        let steps = [
+            (interior, west, 64),
+            (corner, Port::Mesh(Direction::North), 1),
+            (other, Port::Local, 64),
+            (edge, Port::Mesh(Direction::East), 1),
+            (other, Port::Local, 64),
+            (interior, west, 4),
+            (corner, Port::Mesh(Direction::North), 4),
+            (other, Port::Local, 8),
+            (other, Port::Local, 4),
+            (edge, Port::Mesh(Direction::East), 4),
+        ];
+        for (node, port, depth) in steps {
+            engine
+                .apply(&Mutation::SetBufferDepth { node, port, depth })
+                .unwrap();
+            let buffers = engine.buffers().clone();
+            let mut fresh =
+                IncrementalAnalysis::new(engine.flows(), &config, &buffers, VcConfig::single())
+                    .unwrap();
+            assert_eq!(
+                engine.depth_factor, fresh.depth_factor,
+                "after {node}/{port}={depth}"
+            );
+            assert_eq!(
+                engine.depth_factor,
+                PreemptiveOracle::depth_envelope_factor(&config, &buffers)
+            );
+            for index in 0..flows.len() {
+                let id = FlowId(index);
+                for size in [1u32, 4, 9] {
+                    assert_eq!(
+                        engine.packet_bound(Analysis::Preemptive, id, size),
+                        fresh.packet_bound(Analysis::Preemptive, id, size)
+                    );
+                    assert_eq!(
+                        engine.message_bound(Analysis::Preemptive, id, size),
+                        fresh.message_bound(Analysis::Preemptive, id, size)
+                    );
+                }
+            }
+        }
+        // Back at the seed plan: one bucket, factor 1.
+        assert!(engine.buffers().is_uniform_depth(4));
+        assert_eq!(
+            engine.depths.0,
+            vec![(4, mesh.router_count() * Port::COUNT)]
+        );
+        assert_eq!(engine.depth_factor, 1);
+    }
+
+    #[test]
+    fn invalid_buffer_depth_mutations_are_rejected_before_any_change() {
+        for config in [NocConfig::regular(4), NocConfig::waw_wap()] {
+            let (mesh, flows) = setup(4);
+            let buffers = BufferConfig::uniform(config.input_buffer_flits);
+            let mut engine =
+                IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single()).unwrap();
+            let rejected = [
+                (NodeId(999), 8),
+                (NodeId(mesh.router_count()), 8),
+                (NodeId(0), 0),
+            ];
+            for (node, depth) in rejected {
+                let mutation = Mutation::SetBufferDepth {
+                    node,
+                    port: Port::Local,
+                    depth,
+                };
+                assert!(
+                    matches!(engine.apply(&mutation), Err(Error::InvalidConfig { .. })),
+                    "{mutation:?} must be rejected"
+                );
+            }
+            // Nothing moved: not even the uniform plan's representation.
+            assert_eq!(engine.buffers(), &buffers);
+            check_against_suite(&mut engine);
+        }
     }
 
     #[test]

@@ -149,20 +149,7 @@ impl PreemptiveOracle {
     /// deep-FIFO cross-traffic trains above it (16× at depth 64 — campaigns
     /// observed up to 3.2×).
     pub fn depth_envelope_factor(config: &NocConfig, buffers: &BufferConfig) -> u64 {
-        let calibration = u64::from(config.input_buffer_flits.max(1));
-        let min = u64::from(buffers.min_depth().max(1));
-        let max = u64::from(buffers.max_depth().max(1));
-        let shallow = if min < calibration {
-            calibration.div_ceil(min)
-        } else {
-            1
-        };
-        let deep = if max > calibration {
-            max.div_ceil(calibration)
-        } else {
-            1
-        };
-        shallow * deep
+        depth_factor(config, buffers.min_depth(), buffers.max_depth())
     }
 
     /// The VC (priority class, 0 highest) of `flow`, or `None` for flows
@@ -317,6 +304,26 @@ impl crate::analysis::oracle::WcttBoundModel for PreemptiveOracle {
         let packets = regular_sizes(max_packet_flits, message_flits);
         train_bound(packets, max_packet_flits, |size| self.packet_wctt(id, size))
     }
+}
+
+/// The depth envelope factor of a buffer plan whose shallowest and deepest
+/// buffers hold `min_depth` and `max_depth` flits (see
+/// [`PreemptiveOracle::depth_envelope_factor`]).
+pub(crate) fn depth_factor(config: &NocConfig, min_depth: u32, max_depth: u32) -> u64 {
+    let calibration = u64::from(config.input_buffer_flits.max(1));
+    let min = u64::from(min_depth.max(1));
+    let max = u64::from(max_depth.max(1));
+    let shallow = if min < calibration {
+        calibration.div_ceil(min)
+    } else {
+        1
+    };
+    let deep = if max > calibration {
+        max.div_ceil(calibration)
+    } else {
+        1
+    };
+    shallow * deep
 }
 
 /// The preemptive packet bound: the depth envelope `factor` times the

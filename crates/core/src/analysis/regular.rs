@@ -54,8 +54,8 @@ use crate::topology::Mesh;
 /// `(router, *, output)` of a single such column).
 pub type DrainKey = (Coord, Port);
 
-/// What one incremental contention update changed, as reported by
-/// [`RegularWcttModel::apply_route_delta`].
+/// What one incremental contention update changed, as written by
+/// [`RegularWcttModel::apply_route_delta`] into a caller-owned buffer.
 ///
 /// A cached per-flow bound computed from this model stays valid exactly when
 /// the flow's read set — the `(router, output)` column of every hop of its
@@ -237,28 +237,33 @@ impl RegularWcttModel {
     /// constructed over the mutated flow set: a surviving memo entry read
     /// only supports and child terms that provably did not change, and
     /// dropped entries are recomputed from scratch on demand.
-    pub fn apply_route_delta(&mut self, route: &Route, add: bool) -> RouteDelta {
-        let mut delta = RouteDelta::default();
-        let mut flipped_pairs: Vec<(Coord, Port, Port)> = Vec::new();
+    ///
+    /// The change events are written into `delta`, which is cleared first,
+    /// so a caller that keeps one `RouteDelta` across updates allocates
+    /// nothing once its vectors have grown.
+    pub fn apply_route_delta(&mut self, route: &Route, add: bool, delta: &mut RouteDelta) {
+        delta.flipped_columns.clear();
+        delta.dropped_drains.clear();
         for hop in route.hops() {
             let idx = self.pair_index(hop.router, hop.input, hop.output);
-            let before = self.pair_flows[idx];
-            let after = if add {
-                before + 1
+            let count = &mut self.pair_flows[idx];
+            if add {
+                *count += 1;
             } else {
-                debug_assert!(before > 0, "removing a route that was never added");
-                before.saturating_sub(1)
-            };
-            self.pair_flows[idx] = after;
-            if (before == 0) != (after == 0) {
-                flipped_pairs.push((hop.router, hop.input, hop.output));
-                let column = (hop.router, hop.output);
-                if !delta.flipped_columns.contains(&column) {
-                    delta.flipped_columns.push(column);
-                }
+                debug_assert!(*count > 0, "removing a route that was never added");
+                *count = count.saturating_sub(1);
             }
         }
-        for &(router, input, output) in &flipped_pairs {
+        // A route visits each router once, so a triple's support flipped
+        // exactly when its count now reads 1 after an add or 0 after a
+        // removal.  The invalidation walk runs after every count has moved,
+        // so its presence tests see the final supports.
+        for hop in route.hops() {
+            let (router, input, output) = (hop.router, hop.input, hop.output);
+            if self.pair_flows(router, input, output) != u32::from(add) {
+                continue;
+            }
+            delta.flipped_columns.push((router, output));
             // The one drain whose presence tests touch this triple directly:
             // the neighbour drain arriving through `input`.  (A local input
             // is never an arrival port, so it has no direct reader.)
@@ -289,7 +294,6 @@ impl RegularWcttModel {
                 }
             }
         }
-        delta
     }
 
     /// Drops one memoised drain term and recursively drops every term that
@@ -552,14 +556,15 @@ mod tests {
         }
         let mut reduced = flows.clone();
         let (_flow, removed_route) = reduced.pop().unwrap();
-        tracked.apply_route_delta(&removed_route, false);
+        let mut delta = RouteDelta::default();
+        tracked.apply_route_delta(&removed_route, false, &mut delta);
         let mut fresh = RegularWcttModel::new(&reduced, RouterTiming::CANONICAL, 4);
         for id in (0..reduced.len()).map(crate::flow::FlowId) {
             let r = reduced.route(id).unwrap().clone();
             assert_eq!(tracked.route_wctt(&r, 4), fresh.route_wctt(&r, 4));
         }
         // Re-adding the flow restores the original bounds bit-for-bit.
-        tracked.apply_route_delta(&removed_route, true);
+        tracked.apply_route_delta(&removed_route, true, &mut delta);
         let mut original = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
         for id in (0..flows.len()).map(crate::flow::FlowId) {
             let r = flows.route(id).unwrap().clone();
@@ -575,7 +580,8 @@ mod tests {
         // Duplicating an existing flow only raises counts on triples that
         // already have support: nothing flips, so no term is dropped.
         let duplicate = route(&mesh, (3, 1), (0, 0));
-        let delta = tracked.apply_route_delta(&duplicate, true);
+        let mut delta = RouteDelta::default();
+        tracked.apply_route_delta(&duplicate, true, &mut delta);
         assert!(delta.flipped_columns.is_empty());
         assert!(delta.dropped_drains.is_empty());
     }

@@ -141,21 +141,39 @@ impl BufferConfig {
 
     /// A copy (in [`BufferConfig::PerPort`] form) with the single buffer at
     /// `(node, port)` set to `depth`, every other buffer unchanged.  `mesh`
-    /// supplies the router count for the expansion.
+    /// supplies the router count for the expansion; a `node` outside it
+    /// changes no buffer.
     pub fn with_buffer_depth(&self, mesh: &Mesh, node: NodeId, port: Port, depth: u32) -> Self {
-        let mut depths: Vec<[u32; Port::COUNT]> = (0..mesh.router_count())
-            .map(|index| {
-                let mut row = [1; Port::COUNT];
-                for p in Port::ALL {
-                    row[p.index()] = self.depth(NodeId(index), p);
-                }
-                row
-            })
-            .collect();
-        if let Some(row) = depths.get_mut(node.index()) {
-            row[port.index()] = depth;
+        let mut buffers = self.clone();
+        buffers.set_buffer_depth(mesh, node, port, depth);
+        buffers
+    }
+
+    /// Sets the single buffer at `(node, port)` to `depth` in place and
+    /// returns its previous depth, or `None` (no buffer changed) for a `node`
+    /// outside `mesh`.  The configuration is expanded to
+    /// [`BufferConfig::PerPort`] over `mesh`'s routers unless it already is
+    /// such a table, so a sequence of calls expands once and then writes one
+    /// entry each.
+    pub(crate) fn set_buffer_depth(
+        &mut self,
+        mesh: &Mesh,
+        node: NodeId,
+        port: Port,
+        depth: u32,
+    ) -> Option<u32> {
+        let routers = mesh.router_count();
+        if !matches!(self, BufferConfig::PerPort { depths } if depths.len() == routers) {
+            let depths = (0..routers)
+                .map(|index| Port::ALL.map(|p| self.depth(NodeId(index), p)))
+                .collect();
+            *self = BufferConfig::PerPort { depths };
         }
-        BufferConfig::PerPort { depths }
+        let BufferConfig::PerPort { depths } = self else {
+            unreachable!("expanded to a per-port table above")
+        };
+        let slot = &mut depths.get_mut(node.index())?[port.index()];
+        Some(std::mem::replace(slot, depth))
     }
 
     /// Validates the configuration against `mesh`: every depth at least one
@@ -349,6 +367,35 @@ mod tests {
         assert_eq!(deepened.depth(NodeId(1), Port::Mesh(Direction::West)), 2);
         assert_eq!(deepened.depth(NodeId(0), Port::Local), 2);
         assert!(deepened.validate(&mesh).is_ok());
+    }
+
+    #[test]
+    fn set_buffer_depth_expands_once_and_writes_in_place() {
+        let mesh = Mesh::square(2).unwrap();
+        let mut cfg = BufferConfig::PerRouter {
+            depths: vec![1, 2, 3, 4],
+        };
+        assert_eq!(
+            cfg.set_buffer_depth(&mesh, NodeId(2), Port::Local, 9),
+            Some(3)
+        );
+        assert_eq!(
+            cfg,
+            BufferConfig::PerRouter {
+                depths: vec![1, 2, 3, 4]
+            }
+            .with_buffer_depth(&mesh, NodeId(2), Port::Local, 9)
+        );
+        assert_eq!(
+            cfg.set_buffer_depth(&mesh, NodeId(2), Port::Local, 5),
+            Some(9)
+        );
+        assert_eq!(cfg.depth(NodeId(2), Port::Local), 5);
+        assert_eq!(cfg.depth(NodeId(2), Port::Mesh(Direction::North)), 3);
+        // A node outside the mesh changes nothing.
+        let before = cfg.clone();
+        assert_eq!(cfg.set_buffer_depth(&mesh, NodeId(4), Port::Local, 7), None);
+        assert_eq!(cfg, before);
     }
 
     #[test]

@@ -375,26 +375,36 @@ impl FlowSet {
     }
 
     /// Replaces the flow at `id` with `(src, dst)`, re-routing it with XY
-    /// routing, and returns the route the flow previously followed.  Every
-    /// other flow keeps its id: the resulting set is identical to rebuilding
-    /// via [`FlowSet::from_pairs`] with the pair swapped in place.
+    /// routing in place (the route's hop buffer is reused).  Every other flow
+    /// keeps its id: the resulting set is identical to rebuilding via
+    /// [`FlowSet::from_pairs`] with the pair swapped in place.
     ///
     /// # Errors
     ///
-    /// Returns an error if `id` is out of range, `src == dst`, or either node
-    /// lies outside the mesh.
-    pub fn replace_pair(&mut self, id: FlowId, src: NodeId, dst: NodeId) -> Result<Route> {
+    /// Returns an error, with the set unchanged, if `id` is out of range,
+    /// `src == dst`, or either node lies outside the mesh.
+    pub fn replace_pair(&mut self, id: FlowId, src: NodeId, dst: NodeId) -> Result<()> {
+        let (flow, src_c, dst_c) = self.check_replacement(id, src, dst)?;
+        self.flows[id.0] = flow;
+        self.routes[id.0].retrace(&XyRouting, &self.mesh, src_c, dst_c)
+    }
+
+    /// Checks that flow `id` exists and may be re-targeted to `(src, dst)`
+    /// (the validation half of [`FlowSet::replace_pair`]), returning the new
+    /// flow and its endpoint coordinates.
+    pub(crate) fn check_replacement(
+        &self,
+        id: FlowId,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<(Flow, Coord, Coord)> {
         if id.0 >= self.flows.len() {
             return Err(Error::InvalidConfig {
                 reason: format!("flow {id} out of range (set holds {})", self.flows.len()),
             });
         }
         let flow = Flow::new(src, dst)?;
-        let src_c = self.mesh.coord_of(src)?;
-        let dst_c = self.mesh.coord_of(dst)?;
-        let route = XyRouting.route(&self.mesh, src_c, dst_c)?;
-        self.flows[id.0] = flow;
-        Ok(std::mem::replace(&mut self.routes[id.0], route))
+        Ok((flow, self.mesh.coord_of(src)?, self.mesh.coord_of(dst)?))
     }
 }
 

@@ -116,26 +116,50 @@ pub trait RoutingAlgorithm: Send + Sync {
     ///
     /// Returns [`Error::InvalidRoute`] if either coordinate is outside the mesh.
     fn route(&self, mesh: &Mesh, src: Coord, dst: Coord) -> Result<Route> {
+        let mut route = Route {
+            src,
+            dst,
+            hops: Vec::new(),
+        };
+        route.retrace(self, mesh, src, dst)?;
+        Ok(route)
+    }
+}
+
+impl Route {
+    /// Re-traces this route as `routing`'s route from `src` to `dst`, reusing
+    /// the hop buffer.  The buffer is reserved for the `manhattan + 1`
+    /// routers of a minimal route up front; that is a capacity hint only,
+    /// longer (tree) routes grow it.  On error the route's contents are
+    /// unspecified.
+    pub(crate) fn retrace<R: RoutingAlgorithm + ?Sized>(
+        &mut self,
+        routing: &R,
+        mesh: &Mesh,
+        src: Coord,
+        dst: Coord,
+    ) -> Result<()> {
         if !mesh.contains(src) || !mesh.contains(dst) {
             return Err(Error::InvalidRoute { src, dst });
         }
-        let mut hops = Vec::new();
+        self.src = src;
+        self.dst = dst;
+        self.hops.clear();
+        self.hops.reserve(src.manhattan_distance(dst) as usize + 1);
         let mut at = src;
         let mut input = Port::Local;
         // A minimal route can visit at most width + height routers; guard against
         // a misbehaving `output_port` implementation looping forever.
         let max_routers = mesh.router_count() + 1;
         for _ in 0..max_routers {
-            let output = self.output_port(mesh, at, dst)?;
-            hops.push(Hop {
+            let output = routing.output_port(mesh, at, dst)?;
+            self.hops.push(Hop {
                 router: at,
                 input,
                 output,
             });
             match output {
-                Port::Local => {
-                    return Ok(Route { src, dst, hops });
-                }
+                Port::Local => return Ok(()),
                 Port::Mesh(dir) => {
                     let next = mesh
                         .neighbor(at, dir)

@@ -671,6 +671,31 @@ fn json_number(json: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Prints `problem` and the usage line to stderr and exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!(
+        "{problem}; usage: expt-dse [--candidates N] [--seed S] [--restarts R] [--spot K] \
+         [--bench] [--scratch-sample M] [--out PATH] [--baseline PATH]"
+    );
+    std::process::exit(2);
+}
+
+/// The numeric value of `flag`, or a usage error.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, not {value:?}")))
+}
+
+/// The numeric value of `flag`, which must be at least 1, or a usage error.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(flag: &str, value: String) -> T {
+    let n: T = number(flag, value);
+    if n <= T::default() {
+        usage_error(&format!("{flag} must be at least 1"));
+    }
+    n
+}
+
 fn main() {
     let mut candidates: u64 = 1_000_000;
     let mut seed: u64 = 7;
@@ -682,41 +707,20 @@ fn main() {
     let mut baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
+        let mut value = || {
             args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
+                .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
         };
         match flag.as_str() {
-            "--candidates" => {
-                candidates = value("--candidates")
-                    .parse()
-                    .expect("--candidates takes a number");
-            }
-            "--seed" => seed = value("--seed").parse().expect("--seed takes a number"),
-            "--restarts" => {
-                restarts = value("--restarts")
-                    .parse()
-                    .expect("--restarts takes a number");
-                assert!(restarts > 0, "--restarts must be at least 1");
-            }
-            "--spot" => spot = value("--spot").parse().expect("--spot takes a number"),
+            "--candidates" => candidates = number(&flag, value()),
+            "--seed" => seed = number(&flag, value()),
+            "--restarts" => restarts = positive(&flag, value()),
+            "--spot" => spot = number(&flag, value()),
             "--bench" => bench = true,
-            "--scratch-sample" => {
-                scratch_sample = value("--scratch-sample")
-                    .parse()
-                    .expect("--scratch-sample takes a number");
-                assert!(scratch_sample > 0, "--scratch-sample must be at least 1");
-            }
-            "--out" => out = value("--out"),
-            "--baseline" => baseline = Some(value("--baseline")),
-            unknown => {
-                eprintln!(
-                    "unknown argument {unknown}; usage: expt-dse [--candidates N] [--seed S] \
-                     [--restarts R] [--spot K] [--bench] [--scratch-sample M] [--out PATH] \
-                     [--baseline PATH]"
-                );
-                std::process::exit(2);
-            }
+            "--scratch-sample" => scratch_sample = positive(&flag, value()),
+            "--out" => out = value(),
+            "--baseline" => baseline = Some(value()),
+            unknown => usage_error(&format!("unknown argument {unknown}")),
         }
     }
 

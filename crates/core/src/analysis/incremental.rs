@@ -28,10 +28,11 @@
 //! Change events come from the models themselves: under round robin,
 //! [`RegularWcttModel::apply_route_delta`] reports the columns whose pair
 //! *support* flipped plus the memoised drain terms it dropped (the regular
-//! recursion reads counts only through presence tests, so magnitude-only
+//! recursion reads counts only through support masks, so magnitude-only
 //! changes invalidate nothing); under WaW,
-//! [`crate::weights::WeightTable::apply_route_delta`] reports every output
-//! port whose flow count changed (the weighted bounds read magnitudes).
+//! [`crate::weights::WeightTable::apply_route_delta`] moves the output count
+//! of every hop of the route, so the engine invalidates the route's own
+//! columns (the weighted bounds read magnitudes).
 //! Global knobs stay out of the per-flow cache entirely: the preemptive depth
 //! envelope factor is updated per depth mutation from a histogram of the
 //! buffer plan's depths and applied at query time, and a VC reassignment
@@ -821,8 +822,11 @@ impl IncrementalAnalysis {
             }
         }
         if let Some(model) = weighted {
-            for (router, output) in model.weights_mut().apply_route_delta(route, add) {
-                invalidate(router, output);
+            // The weighted terms read flow counts by magnitude, and every
+            // hop's output count moved: the route's own columns are stale.
+            model.weights_mut().apply_route_delta(route, add);
+            for hop in route.hops() {
+                invalidate(hop.router, hop.output);
             }
         }
         if let Some(model) = graph {

@@ -49,6 +49,7 @@ use crate::config::NocConfig;
 use crate::error::{Error, Result};
 use crate::flow::{FlowId, FlowSet, PortCounts};
 use crate::packetization::regular_sizes;
+use crate::port::Port;
 use crate::routing::Route;
 use crate::topology::Mesh;
 use crate::vc::VcConfig;
@@ -522,9 +523,11 @@ impl SlotOracle {
             self.config.arbitration,
             route,
             |hop| {
-                slot::other_inputs(hop.input, hop.output, |p| {
-                    counts.pair_count(hop.router, p, hop.output) > 0
-                })
+                let support = Port::ALL
+                    .into_iter()
+                    .filter(|&p| counts.pair_count(hop.router, p, hop.output) > 0)
+                    .fold(0, |mask, p| mask | slot::port_bit(p));
+                slot::other_inputs(hop.input, hop.output, support)
             },
             |hop| counts.output_count(hop.router, hop.output) as u32,
         );

@@ -49,7 +49,7 @@ use crate::topology::Mesh;
 
 /// A `(router, output)` pair: simultaneously the key of one memoised drain
 /// term and the granularity at which the model's reads of the contention map
-/// are tracked (every read — the presence tests of the drain recursion and
+/// are tracked (every read — the support-bit tests of the drain recursion and
 /// [`RegularWcttModel::contender_count`] — only inspects triples
 /// `(router, *, output)` of a single such column).
 pub type DrainKey = (Coord, Port);
@@ -63,9 +63,9 @@ pub type DrainKey = (Coord, Port);
 #[derive(Debug, Clone, Default)]
 pub struct RouteDelta {
     /// Columns whose pair-count *support* flipped between zero and non-zero.
-    /// The model's arithmetic only ever reads counts through presence tests,
-    /// so magnitude-only changes (2 flows → 3 flows on a triple) leave every
-    /// term untouched and appear in neither list.
+    /// The model's arithmetic only ever reads counts through their support
+    /// masks, so magnitude-only changes (2 flows → 3 flows on a triple) leave
+    /// every term untouched and appear in neither list.
     pub flipped_columns: Vec<DrainKey>,
     /// Memoised drain terms dropped by the invalidation closure: the terms
     /// whose recorded reads a flipped pair can affect, plus (transitively)
@@ -105,8 +105,17 @@ pub struct RegularWcttModel {
     contender_flits: u32,
     /// Number of flows using each (router, input, output) triple, densely
     /// indexed `node · 25 + input · 5 + output` (see
-    /// [`RegularWcttModel::pair_index`]).
+    /// [`RegularWcttModel::pair_index`]).  The source of truth: the support
+    /// masks below are derived from it.
     pair_flows: Vec<u32>,
+    /// Support of each `(router, output)` column, indexed `node · 5 +
+    /// output`: bit `input` ([`slot::port_bit`]) is set iff that triple's
+    /// count is non-zero.  Contender counts are popcounts of this mask.
+    column_support: Vec<u8>,
+    /// Support of each `(router, input)` row, indexed `node · 5 + input`:
+    /// bit `output` is set iff that triple's count is non-zero.  The drain
+    /// recursion walks the set bits of its arrival row.
+    row_support: Vec<u8>,
     /// Memoised drain terms, densely indexed `node · 5 + output`.  `None`
     /// doubles as the visited marker of the invalidation walk, so dropping a
     /// term and checking whether it was live is one `Option::take`.
@@ -125,13 +134,14 @@ impl RegularWcttModel {
             timing,
             contender_flits: contender_flits.max(1),
             pair_flows: vec![0; nodes * Port::COUNT * Port::COUNT],
+            column_support: vec![0; nodes * Port::COUNT],
+            row_support: vec![0; nodes * Port::COUNT],
             drain_memo: vec![None; nodes * Port::COUNT],
         };
         for id in (0..flows.len()).map(crate::flow::FlowId) {
             if let Some(route) = flows.route(id) {
                 for hop in route.hops() {
-                    let idx = model.pair_index(hop.router, hop.input, hop.output);
-                    model.pair_flows[idx] += 1;
+                    model.count_hop(hop.router, hop.input, hop.output, true);
                 }
             }
         }
@@ -164,10 +174,40 @@ impl RegularWcttModel {
         (self.node_index(router) * Port::COUNT + input.index()) * Port::COUNT + output.index()
     }
 
-    /// Dense index of a memoised `(router, output)` drain term.
+    /// Dense index `node · 5 + port` of a per-port slot: a memoised drain
+    /// term or column support (`port` an output), a row support (`port` an
+    /// input).
     #[inline]
-    fn drain_index(&self, router: Coord, output: Port) -> usize {
-        self.node_index(router) * Port::COUNT + output.index()
+    fn port_index(&self, router: Coord, port: Port) -> usize {
+        self.node_index(router) * Port::COUNT + port.index()
+    }
+
+    /// Adds (`add`) or removes one flow on the `(router, input, output)`
+    /// triple, setting its support bits when the count goes 0→1 and clearing
+    /// them when it goes 1→0.
+    #[inline]
+    fn count_hop(&mut self, router: Coord, input: Port, output: Port, add: bool) {
+        let idx = self.pair_index(router, input, output);
+        let count = &mut self.pair_flows[idx];
+        if add {
+            *count += 1;
+        } else {
+            debug_assert!(*count > 0, "removing a route that was never added");
+            *count = count.saturating_sub(1);
+        }
+        if *count != u32::from(add) {
+            return;
+        }
+        let column = self.port_index(router, output);
+        let row = self.port_index(router, input);
+        let (input_bit, output_bit) = (slot::port_bit(input), slot::port_bit(output));
+        if add {
+            self.column_support[column] |= input_bit;
+            self.row_support[row] |= output_bit;
+        } else {
+            self.column_support[column] &= !input_bit;
+            self.row_support[row] &= !output_bit;
+        }
     }
 
     /// Number of flows of the platform that traverse `router` from `input` to
@@ -180,14 +220,18 @@ impl RegularWcttModel {
     /// towards `output` at `router` — the contenders a packet entering through
     /// `input` can find requesting the same output.
     pub fn contender_count(&self, router: Coord, input: Port, output: Port) -> u32 {
-        slot::other_inputs(input, output, |p| self.pair_flows(router, p, output) > 0)
+        slot::other_inputs(
+            input,
+            output,
+            self.column_support[self.port_index(router, output)],
+        )
     }
 
     /// Worst-case time for one granted maximum-size contender packet to
     /// completely clear output `output` of `router`, including any downstream
     /// chained blocking of that packet.
     pub fn drain_time(&mut self, router: Coord, output: Port) -> u64 {
-        let di = self.drain_index(router, output);
+        let di = self.port_index(router, output);
         if let Some(d) = self.drain_memo[di] {
             return d;
         }
@@ -202,10 +246,12 @@ impl RegularWcttModel {
                 Some(next) => {
                     let arrival = Port::Mesh(dir.opposite());
                     let mut worst = ejection;
-                    for o_next in Port::ALL {
-                        if self.pair_flows(next, arrival, o_next) == 0 {
-                            continue;
-                        }
+                    // The outputs the arrival row supports, in `Port::ALL`
+                    // order (ascending bit).
+                    let mut row = self.row_support[self.port_index(next, arrival)];
+                    while row != 0 {
+                        let o_next = Port::from_index(row.trailing_zeros() as usize);
+                        row &= row - 1;
                         let block = self.blocking(next, arrival, o_next);
                         let drain = self.drain_time(next, o_next);
                         worst = worst.max(block.saturating_add(drain));
@@ -226,7 +272,7 @@ impl RegularWcttModel {
     ///
     /// Which terms a contention triple can reach is static: the drain at
     /// `(r, Mesh(dir))` reads only triples of its downstream neighbour
-    /// `next = neighbor(r, dir)` — presence tests on the arrival row
+    /// `next = neighbor(r, dir)` — the support of the arrival row
     /// `(next, Mesh(dir.opposite()), ·)` unconditionally, contender counts
     /// `(next, p, o)` and child terms `(next, o)` only for outputs `o` the
     /// arrival row supports.  So a support flip of `(router, input, output)`
@@ -245,26 +291,19 @@ impl RegularWcttModel {
         delta.flipped_columns.clear();
         delta.dropped_drains.clear();
         for hop in route.hops() {
-            let idx = self.pair_index(hop.router, hop.input, hop.output);
-            let count = &mut self.pair_flows[idx];
-            if add {
-                *count += 1;
-            } else {
-                debug_assert!(*count > 0, "removing a route that was never added");
-                *count = count.saturating_sub(1);
-            }
+            self.count_hop(hop.router, hop.input, hop.output, add);
         }
         // A route visits each router once, so a triple's support flipped
         // exactly when its count now reads 1 after an add or 0 after a
         // removal.  The invalidation walk runs after every count has moved,
-        // so its presence tests see the final supports.
+        // so its support-bit tests see the final supports.
         for hop in route.hops() {
             let (router, input, output) = (hop.router, hop.input, hop.output);
             if self.pair_flows(router, input, output) != u32::from(add) {
                 continue;
             }
             delta.flipped_columns.push((router, output));
-            // The one drain whose presence tests touch this triple directly:
+            // The one drain whose row walk reads this triple directly:
             // the neighbour drain arriving through `input`.  (A local input
             // is never an arrival port, so it has no direct reader.)
             if let Port::Mesh(d) = input {
@@ -279,11 +318,10 @@ impl RegularWcttModel {
             // other neighbour drains, but only if their own arrival row
             // supports `output` (rows that flipped themselves are already
             // covered by the direct rule above).
+            let column = self.column_support[self.port_index(router, output)];
             for d in Direction::ALL {
-                if Port::Mesh(d) == input {
-                    continue;
-                }
-                if self.pair_flows(router, Port::Mesh(d), output) == 0 {
+                let port = Port::Mesh(d);
+                if port == input || column & slot::port_bit(port) == 0 {
                     continue;
                 }
                 if let Some(upstream) = self.mesh.neighbor(router, d) {
@@ -301,14 +339,17 @@ impl RegularWcttModel {
     /// this term's output.  The memo entry doubles as the visited marker, so
     /// the walk touches each live term at most once.
     fn invalidate_drain(&mut self, key: DrainKey, dropped: &mut Vec<DrainKey>) {
-        let di = self.drain_index(key.0, key.1);
+        let di = self.port_index(key.0, key.1);
         if self.drain_memo[di].take().is_none() {
             return;
         }
         dropped.push(key);
-        let (router, output) = key;
+        let router = key.0;
+        // The drain memo and the column support share the `node · 5 + output`
+        // index.
+        let column = self.column_support[di];
         for d in Direction::ALL {
-            if self.pair_flows(router, Port::Mesh(d), output) == 0 {
+            if column & slot::port_bit(Port::Mesh(d)) == 0 {
                 continue;
             }
             if let Some(upstream) = self.mesh.neighbor(router, d) {
@@ -584,6 +625,75 @@ mod tests {
         tracked.apply_route_delta(&duplicate, true, &mut delta);
         assert!(delta.flipped_columns.is_empty());
         assert!(delta.dropped_drains.is_empty());
+    }
+
+    #[test]
+    fn support_masks_track_pair_counts_through_adds_and_removes() {
+        // Every support bit must equal `pair_flows > 0`, and every contender
+        // count must equal a brute-force count over `pair_flows`.
+        fn check(model: &RegularWcttModel, mesh: &Mesh, step: usize) {
+            for router in mesh.routers() {
+                for input in Port::ALL {
+                    for output in Port::ALL {
+                        let present = model.pair_flows(router, input, output) > 0;
+                        let column = model.column_support[model.port_index(router, output)];
+                        let row = model.row_support[model.port_index(router, input)];
+                        let at = format!("step {step}, {router} {input}->{output}");
+                        assert_eq!(column & slot::port_bit(input) != 0, present, "{at}");
+                        assert_eq!(row & slot::port_bit(output) != 0, present, "{at}");
+                        let brute = Port::ALL
+                            .into_iter()
+                            .filter(|&p| p != input && p != output)
+                            .filter(|&p| model.pair_flows(router, p, output) > 0)
+                            .count() as u32;
+                        assert_eq!(model.contender_count(router, input, output), brute, "{at}");
+                    }
+                }
+            }
+        }
+        // splitmix64: a fixed seed gives a fixed add/remove sequence.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        let (mesh, flows) = all_to_memory(6);
+        let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        check(&model, &mesh, 0);
+        let mut live: Vec<Route> = (0..flows.len())
+            .map(|i| flows.route(crate::flow::FlowId(i)).unwrap().clone())
+            .collect();
+        let mut delta = RouteDelta::default();
+        let mut state = 7;
+        for step in 1..=300 {
+            let r = next(&mut state);
+            // Remove a third of the time, so counts rise and fall through
+            // zero on both fresh and initially-populated triples.
+            if r % 3 == 0 && !live.is_empty() {
+                let route = live.swap_remove((r >> 8) as usize % live.len());
+                model.apply_route_delta(&route, false, &mut delta);
+            } else {
+                let coord = |bits: u64| Coord::new((bits % 6) as u16, ((bits >> 8) % 6) as u16);
+                let (src, dst) = (coord(r >> 16), coord(r >> 32));
+                if src == dst {
+                    continue;
+                }
+                let route = XyRouting.route(&mesh, src, dst).unwrap();
+                model.apply_route_delta(&route, true, &mut delta);
+                live.push(route);
+            }
+            check(&model, &mesh, step);
+        }
+        // Draining every route leaves no support anywhere.
+        for route in live.drain(..) {
+            model.apply_route_delta(&route, false, &mut delta);
+        }
+        check(&model, &mesh, 301);
+        assert!(model.column_support.iter().all(|&m| m == 0));
+        assert!(model.row_support.iter().all(|&m| m == 0));
     }
 
     #[test]

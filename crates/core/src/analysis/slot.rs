@@ -72,13 +72,18 @@ pub(crate) fn route_contenders(
         .fold(1, u32::max)
 }
 
-/// Input ports other than the packet's own `input` that `carries` a flow
-/// towards `output`: the contenders round robin serves before it.
-pub(crate) fn other_inputs(input: Port, output: Port, carries: impl Fn(Port) -> bool) -> u32 {
-    Port::ALL
-        .iter()
-        .filter(|&&p| p != input && p != output && carries(p))
-        .count() as u32
+/// The bit of `port` in a support mask: bit `i` stands for `Port::ALL[i]`.
+#[inline]
+pub(crate) fn port_bit(port: Port) -> u8 {
+    1 << port.index()
+}
+
+/// Input ports other than the packet's own `input` that carry a flow towards
+/// `output`, given the `support` mask of that output's column (bit `p` set
+/// iff input `p` carries one): the contenders round robin serves before it.
+#[inline]
+pub(crate) fn other_inputs(input: Port, output: Port, support: u8) -> u32 {
+    (support & !(port_bit(input) | port_bit(output))).count_ones()
 }
 
 /// The flits the envelope charges the packet under analysis on a packet

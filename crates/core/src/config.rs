@@ -183,7 +183,8 @@ impl NocConfig {
     /// Number of wire packets (WaP slices) a `message_flits`-flit message
     /// occupies.
     pub(crate) fn slices(&self, message_flits: u32) -> u32 {
-        self.wire_packets(message_flits).len() as u32
+        self.packetization
+            .packet_count(message_flits, self.geometry)
     }
 
     /// Short human-readable label ("regular(L=4)", "WaW+WaP", ...).

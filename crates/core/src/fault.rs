@@ -285,6 +285,9 @@ pub struct FaultSet {
     mesh: Mesh,
     router_dead: Vec<bool>,
     link_dead: Vec<[bool; 4]>,
+    /// Number of `true` flags across `router_dead` and `link_dead`: a
+    /// function of the flags, so the derived equality stays exact.
+    failed: usize,
 }
 
 impl FaultSet {
@@ -294,22 +297,30 @@ impl FaultSet {
             mesh: *mesh,
             router_dead: vec![false; mesh.router_count()],
             link_dead: vec![[false; 4]; mesh.router_count()],
+            failed: 0,
         }
     }
 
     /// Marks one failure as active.  Coordinates outside the mesh are
-    /// ignored (a plan is validated separately by [`FaultPlan::validate`]).
+    /// ignored (a plan is validated separately by [`FaultPlan::validate`]),
+    /// and so is a failure that is already active.
     pub fn add(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::Router { at } => {
-                if let Ok(id) = self.mesh.node_id(at) {
-                    self.router_dead[id.index()] = true;
-                }
-            }
-            FaultKind::Link { from, direction } => {
-                if let Ok(id) = self.mesh.node_id(from) {
-                    self.link_dead[id.index()][dir_index(direction)] = true;
-                }
+        let flag = match kind {
+            FaultKind::Router { at } => self
+                .mesh
+                .node_id(at)
+                .ok()
+                .map(|id| &mut self.router_dead[id.index()]),
+            FaultKind::Link { from, direction } => self
+                .mesh
+                .node_id(from)
+                .ok()
+                .map(|id| &mut self.link_dead[id.index()][dir_index(direction)]),
+        };
+        if let Some(flag) = flag {
+            if !*flag {
+                *flag = true;
+                self.failed += 1;
             }
         }
     }
@@ -321,7 +332,7 @@ impl FaultSet {
 
     /// Returns `true` if nothing has failed.
     pub fn is_empty(&self) -> bool {
-        !self.router_dead.iter().any(|&d| d) && !self.link_dead.iter().flatten().any(|&d| d)
+        self.failed == 0
     }
 
     /// Returns `true` if the router at `coord` is dead.
@@ -776,6 +787,56 @@ mod tests {
         assert!(set.link_usable(Coord::new(1, 0), Direction::West));
         assert!(!set.edge_usable(Coord::new(0, 0), Direction::East));
         assert!(!set.edge_usable(Coord::new(1, 0), Direction::West));
+    }
+
+    #[test]
+    fn failure_count_tracks_the_flags() {
+        // The flags scanned directly, as `is_empty` did before it kept a count.
+        fn scanned(set: &FaultSet) -> usize {
+            let routers = set.router_dead.iter().filter(|&&d| d).count();
+            routers + set.link_dead.iter().flatten().filter(|&&d| d).count()
+        }
+        let m = mesh(3);
+        let link = FaultKind::Link {
+            from: Coord::new(1, 1),
+            direction: Direction::East,
+        };
+        let router = FaultKind::Router {
+            at: Coord::new(1, 1),
+        };
+        let outside = FaultKind::Router {
+            at: Coord::new(5, 5),
+        };
+        let cases: [&[FaultKind]; 4] = [
+            &[link, link],
+            &[link, router],
+            &[outside, outside],
+            &[outside, router, link, router, outside],
+        ];
+        for kinds in cases {
+            let mut set = FaultSet::empty(&m);
+            for &kind in kinds {
+                set.add(kind);
+                assert_eq!(set.failed, scanned(&set), "{kinds:?}");
+                assert_eq!(set.is_empty(), scanned(&set) == 0, "{kinds:?}");
+            }
+            // The same failures added in the opposite order give an equal set.
+            let mut reversed = FaultSet::empty(&m);
+            for &kind in kinds.iter().rev() {
+                reversed.add(kind);
+            }
+            assert_eq!(set, reversed, "{kinds:?}");
+        }
+        let mut set = FaultSet::empty(&m);
+        set.add(link);
+        set.add(link);
+        assert_eq!(set.failed, 1, "a repeated link failure counts once");
+        set.add(router);
+        assert_eq!(set.failed, 2, "the endpoint router is a failure of its own");
+        let mut set = FaultSet::empty(&m);
+        set.add(outside);
+        assert!(set.is_empty(), "an out-of-mesh coordinate fails nothing");
+        assert_eq!(set, FaultSet::empty(&m));
     }
 
     #[test]

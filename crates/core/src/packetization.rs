@@ -147,11 +147,20 @@ impl PacketizationPolicy {
                 regular_sizes(max_packet_flits, message_flits).collect()
             }
             PacketizationPolicy::Wap { min_packet_flits } => {
-                let payload_bits = (message_flits * geometry.link_width_bits)
-                    .saturating_sub(geometry.control_bits);
-                let slices = geometry.wap_slices(payload_bits).max(1);
+                let slices = wap_slice_count(message_flits, geometry);
                 vec![min_packet_flits; slices as usize]
             }
+        }
+    }
+
+    /// Number of wire packets [`PacketizationPolicy::split_message`] returns,
+    /// counted without building them.
+    pub(crate) fn packet_count(&self, message_flits: u32, geometry: PhitGeometry) -> u32 {
+        match *self {
+            PacketizationPolicy::Regular { max_packet_flits } => {
+                regular_sizes(max_packet_flits, message_flits).len() as u32
+            }
+            PacketizationPolicy::Wap { .. } => wap_slice_count(message_flits, geometry),
         }
     }
 
@@ -172,6 +181,14 @@ impl PacketizationPolicy {
         }
         Ok(())
     }
+}
+
+/// WaP slices of a `message_flits`-flit message: its payload (message bits
+/// less one control overhead) in minimum-size slices, at least one.
+fn wap_slice_count(message_flits: u32, geometry: PhitGeometry) -> u32 {
+    let payload_bits =
+        (message_flits * geometry.link_width_bits).saturating_sub(geometry.control_bits);
+    geometry.wap_slices(payload_bits).max(1)
 }
 
 /// Sizes of the greedy maximum-size packets a `message_flits`-flit message

@@ -28,8 +28,6 @@
 //! that the arbitration round is as short as possible while preserving the
 //! bandwidth ratios.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::flow::{paper_input_source_count, paper_output_source_count, FlowSet};
@@ -62,34 +60,47 @@ use crate::topology::Mesh;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WeightTable {
     mesh: Mesh,
-    /// quotas[(router, input, output)] = number of flows using that pair.
-    quotas: HashMap<(Coord, Port, Port), u32>,
-    /// outputs[(router, output)] = total number of flows using that output.
-    outputs: HashMap<(Coord, Port), u32>,
+    /// Number of flows using each (router, input, output) pair, densely
+    /// indexed `node · 25 + input · 5 + output` like the regular model's
+    /// contention map.
+    quotas: Vec<u32>,
+    /// Total number of flows using each (router, output) port, densely
+    /// indexed `node · 5 + output`.
+    outputs: Vec<u32>,
 }
 
 impl WeightTable {
     /// Derives weights from a concrete flow set (each flow routed with XY).
     pub fn from_flow_set(flows: &FlowSet) -> Self {
         let mesh = *flows.mesh();
-        let mut quotas: HashMap<(Coord, Port, Port), u32> = HashMap::new();
-        let mut outputs: HashMap<(Coord, Port), u32> = HashMap::new();
+        let ports = mesh.router_count() * Port::COUNT;
+        let mut table = Self {
+            mesh,
+            quotas: vec![0; ports * Port::COUNT],
+            outputs: vec![0; ports],
+        };
         // Single pass over every flow's route: each traversed hop contributes
         // one flow to its (router, input, output) pair and to its output port.
         for (id, _flow) in flows.iter() {
             let route = flows.route(id).expect("every flow has a route");
-            for hop in route.hops() {
-                *quotas
-                    .entry((hop.router, hop.input, hop.output))
-                    .or_insert(0) += 1;
-                *outputs.entry((hop.router, hop.output)).or_insert(0) += 1;
-            }
+            table.apply_route_delta(route, true);
         }
-        Self {
-            mesh,
-            quotas,
-            outputs,
-        }
+        table
+    }
+
+    /// Dense index `node · 5 + port` of a per-port slot of `router`, `None`
+    /// outside the mesh.
+    #[inline]
+    fn port_index(&self, router: Coord, port: Port) -> Option<usize> {
+        let node = self.mesh.node_id(router).ok()?;
+        Some(node.index() * Port::COUNT + port.index())
+    }
+
+    /// Dense index of a `(router, input, output)` pair, `None` outside the
+    /// mesh.
+    #[inline]
+    fn pair_index(&self, router: Coord, input: Port, output: Port) -> Option<usize> {
+        Some(self.port_index(router, input)? * Port::COUNT + output.index())
     }
 
     /// Derives the statically precomputable weights for the all-to-all flow set
@@ -112,15 +123,14 @@ impl WeightTable {
     /// traverse the router from `input` to `output`.  Zero if no flow uses the
     /// pair.
     pub fn quota(&self, router: Coord, input: Port, output: Port) -> u32 {
-        self.quotas
-            .get(&(router, input, output))
-            .copied()
-            .unwrap_or(0)
+        self.pair_index(router, input, output)
+            .map_or(0, |idx| self.quotas[idx])
     }
 
     /// Total number of flows using output port `output` at `router`.
     pub fn output_flows(&self, router: Coord, output: Port) -> u32 {
-        self.outputs.get(&(router, output)).copied().unwrap_or(0)
+        self.port_index(router, output)
+            .map_or(0, |idx| self.outputs[idx])
     }
 
     /// Normalised weight `W(input, output)` — the fraction of the output port's
@@ -173,59 +183,45 @@ impl WeightTable {
         raw
     }
 
-    /// All (input, output) pairs with a non-zero quota at `router`, sorted for
-    /// deterministic iteration.
+    /// All (input, output) pairs with a non-zero quota at `router`, sorted by
+    /// `(output, input)` for deterministic iteration.
     pub fn pairs(&self, router: Coord) -> Vec<(Port, Port, u32)> {
-        let mut pairs: Vec<(Port, Port, u32)> = self
-            .quotas
-            .iter()
-            .filter(|((r, _, _), _)| *r == router)
-            .map(|((_, i, o), q)| (*i, *o, *q))
-            .collect();
-        pairs.sort_by_key(|(i, o, _)| (o.index(), i.index()));
-        pairs
+        Port::ALL
+            .into_iter()
+            .flat_map(|output| Port::ALL.into_iter().map(move |input| (input, output)))
+            .filter_map(|(input, output)| {
+                let q = self.quota(router, input, output);
+                (q > 0).then_some((input, output, q))
+            })
+            .collect()
     }
 
     /// Applies one route's hops to the table (`add` registers the flow, `!add`
-    /// removes a previously-registered one), returning the `(router, output)`
-    /// ports whose flow count changed.  Entries reaching zero are deleted, so
-    /// the table stays equal to one rebuilt by
-    /// [`WeightTable::from_flow_set`] over the mutated flow set.
+    /// removes a previously-registered one), so the table stays equal to one
+    /// rebuilt by [`WeightTable::from_flow_set`] over the mutated flow set.
     ///
     /// The weighted analyses read flow counts by magnitude, so — unlike the
-    /// support-only invalidation of the regular model — every hop of the
-    /// route appears in the returned list.
-    pub fn apply_route_delta(
-        &mut self,
-        route: &crate::routing::Route,
-        add: bool,
-    ) -> Vec<(Coord, Port)> {
-        let mut changed = Vec::with_capacity(route.hops().len());
+    /// support-only invalidation of the regular model — the `(router,
+    /// output)` count of every hop of the route changes.
+    pub fn apply_route_delta(&mut self, route: &crate::routing::Route, add: bool) {
+        const ON_MESH: &str = "route hops lie on the mesh";
         for hop in route.hops() {
-            let pair_key = (hop.router, hop.input, hop.output);
-            let out_key = (hop.router, hop.output);
+            let pair = self
+                .pair_index(hop.router, hop.input, hop.output)
+                .expect(ON_MESH);
+            let out = self.port_index(hop.router, hop.output).expect(ON_MESH);
             if add {
-                *self.quotas.entry(pair_key).or_insert(0) += 1;
-                *self.outputs.entry(out_key).or_insert(0) += 1;
+                self.quotas[pair] += 1;
+                self.outputs[out] += 1;
             } else {
-                if let Some(q) = self.quotas.get_mut(&pair_key) {
-                    *q = q.saturating_sub(1);
-                    if *q == 0 {
-                        self.quotas.remove(&pair_key);
-                    }
-                } else {
-                    debug_assert!(false, "removing a route that was never added");
-                }
-                if let Some(o) = self.outputs.get_mut(&out_key) {
-                    *o = o.saturating_sub(1);
-                    if *o == 0 {
-                        self.outputs.remove(&out_key);
-                    }
-                }
+                debug_assert!(
+                    self.quotas[pair] > 0,
+                    "removing a route that was never added"
+                );
+                self.quotas[pair] = self.quotas[pair].saturating_sub(1);
+                self.outputs[out] = self.outputs[out].saturating_sub(1);
             }
-            changed.push(out_key);
         }
-        changed
     }
 
     /// The paper's closed-form weight `I_diri / O_diro` from the Section III
@@ -449,8 +445,7 @@ mod tests {
         let (_flow, removed_route) = reduced.pop().unwrap();
         // Removing the last flow's route leaves the table of the reduced set.
         let mut table = WeightTable::from_flow_set(&full);
-        let changed = table.apply_route_delta(&removed_route, false);
-        assert_eq!(changed.len(), removed_route.hops().len());
+        table.apply_route_delta(&removed_route, false);
         let rebuilt = WeightTable::from_flow_set(&reduced);
         for router in mesh.routers() {
             for input in Port::ALL {

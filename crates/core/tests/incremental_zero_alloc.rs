@@ -3,15 +3,17 @@
 //! heap allocations**.
 //!
 //! A counting global allocator wraps the system allocator.  The platform is
-//! the design-space walk's: a 16×16 round-robin mesh with four memory banks
-//! at the quadrant centres and 64 threads, each with a request flow to its
-//! nearest bank and a response flow back.  One cycle moves a thread away and
-//! back (two `MoveFlow` mutations each way) and deepens one buffer and
-//! restores it, reading the preemptive bound of all 128 flows after every
-//! step.  The first cycle grows every engine-owned buffer (route hop
-//! buffers, read sets, reverse indexes, change-event scratch, the per-port
-//! depth table) to its high-water mark; the identical second cycle must run
-//! on that memory alone.
+//! the design-space walk's: a 16×16 mesh with four memory banks at the
+//! quadrant centres and 64 threads, each with a request flow to its nearest
+//! bank and a response flow back.  It is audited twice: under round robin,
+//! reading the preemptive bound, and under WaW + WaP, reading the
+//! backpressured weighted, buffer-aware and graph-based bounds.  One cycle
+//! moves a thread away and back (two `MoveFlow` mutations each way) and
+//! deepens one buffer and restores it, reading the bounds of all 128 flows
+//! after every step.  The first cycle grows every engine-owned buffer (route
+//! hop buffers, read sets, reverse indexes, change-event scratch, the
+//! per-port depth table) to its high-water mark; the identical second cycle
+//! must run on that memory alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,19 +103,28 @@ fn move_thread(engine: &mut IncrementalAnalysis, mesh: &Mesh, thread: usize, cor
     }
 }
 
-/// The worst thread round trip: 128 preemptive message-bound queries.
-fn objective(engine: &mut IncrementalAnalysis) -> u64 {
+/// The worst thread round trip under `analysis`: 128 message-bound queries.
+fn objective(engine: &mut IncrementalAnalysis, analysis: Analysis) -> u64 {
     (0..engine.flows().len() / 2)
         .map(|thread| {
             let request = engine
-                .message_bound(Analysis::Preemptive, FlowId(2 * thread), REQUEST_FLITS)
+                .message_bound(analysis, FlowId(2 * thread), REQUEST_FLITS)
                 .unwrap();
             let response = engine
-                .message_bound(Analysis::Preemptive, FlowId(2 * thread + 1), RESPONSE_FLITS)
+                .message_bound(analysis, FlowId(2 * thread + 1), RESPONSE_FLITS)
                 .unwrap();
             request.saturating_add(response)
         })
         .fold(0, u64::max)
+}
+
+/// The worst round trips under `analyses`, summed into one value a cycle
+/// compares across steps.
+fn objectives(engine: &mut IncrementalAnalysis, analyses: &[Analysis]) -> u64 {
+    analyses
+        .iter()
+        .map(|&analysis| objective(engine, analysis))
+        .fold(0, u64::saturating_add)
 }
 
 #[test]
@@ -122,7 +133,7 @@ fn warm_mutations_and_queries_do_not_allocate() {
     // the arm flag are process-global statics, so a second #[test] touching
     // them would race under libtest's parallel execution.  An intentional
     // allocation while armed must be counted, otherwise a broken counter
-    // would vacuously pass the zero-allocation assertion below.
+    // would vacuously pass the zero-allocation assertions below.
     ALLOCATIONS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let probe: Vec<u64> = Vec::with_capacity(32);
@@ -133,6 +144,21 @@ fn warm_mutations_and_queries_do_not_allocate() {
         "counting allocator failed to observe an ordinary allocation"
     );
 
+    assert_warm_cycle_allocates_nothing(NocConfig::regular(4), &[Analysis::Preemptive]);
+    assert_warm_cycle_allocates_nothing(
+        NocConfig::waw_wap(),
+        &[
+            Analysis::WeightedBp,
+            Analysis::BufferAware,
+            Analysis::GraphBufferAware,
+        ],
+    );
+}
+
+/// Runs the move-and-deepen cycle twice on the design-space walk's platform
+/// under `config`, reading `analyses` after every step, and asserts that the
+/// second, warm cycle allocates nothing.
+fn assert_warm_cycle_allocates_nothing(config: NocConfig, analyses: &[Analysis]) {
     let mesh = Mesh::square(SIDE).unwrap();
     // 64 threads on columns 1, 5, 9 and 13 of every row: no thread sits on
     // a bank (columns 4 and 11).
@@ -146,7 +172,6 @@ fn warm_mutations_and_queries_do_not_allocate() {
         [(core_id, bank_id), (bank_id, core_id)]
     });
     let flows = FlowSet::from_pairs(&mesh, pairs).unwrap();
-    let config = NocConfig::regular(4);
     let buffers = BufferConfig::uniform(config.input_buffer_flits);
     let mut engine =
         IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single()).unwrap();
@@ -156,33 +181,54 @@ fn warm_mutations_and_queries_do_not_allocate() {
     let (home, away) = (threads[0], Coord::from_row_col(SIDE - 1, SIDE - 1));
     let node = mesh.node_id(Coord::from_row_col(7, 7)).unwrap();
     let port = Port::Mesh(Direction::West);
+    // The comparisons of the reads happen after disarming.
     let cycle = |engine: &mut IncrementalAnalysis| {
-        let seed = objective(engine);
+        let seed = objectives(engine, analyses);
         move_thread(engine, &mesh, 0, away);
-        let moved = objective(engine);
+        let moved = objectives(engine, analyses);
         move_thread(engine, &mesh, 0, home);
-        assert_eq!(objective(engine), seed);
-        for depth in [8, config.input_buffer_flits] {
-            engine
-                .apply(&Mutation::SetBufferDepth { node, port, depth })
-                .unwrap();
-            objective(engine);
-        }
-        assert_eq!(objective(engine), seed);
-        moved
+        let back = objectives(engine, analyses);
+        engine
+            .apply(&Mutation::SetBufferDepth {
+                node,
+                port,
+                depth: 8,
+            })
+            .unwrap();
+        let deepened = objectives(engine, analyses);
+        engine
+            .apply(&Mutation::SetBufferDepth {
+                node,
+                port,
+                depth: config.input_buffer_flits,
+            })
+            .unwrap();
+        let restored = objectives(engine, analyses);
+        [seed, moved, back, deepened, restored]
     };
 
-    let warm_moved = cycle(&mut engine);
+    let warm = cycle(&mut engine);
     ALLOCATIONS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let moved = cycle(&mut engine);
+    let measured = cycle(&mut engine);
     ARMED.store(false, Ordering::SeqCst);
 
     let allocations = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
-        allocations, 0,
-        "a warm mutation cycle allocated {allocations} times"
+        allocations,
+        0,
+        "{}: a warm mutation cycle allocated {allocations} times",
+        config.label()
     );
-    // The measured cycle did the same real work as the warm-up.
-    assert_eq!(moved, warm_moved);
+    // Reverting the moves and the depth restores every bound, and the
+    // measured cycle did the same real work as the warm-up.
+    let [seed, moved, back, _, restored] = measured;
+    let label = config.label();
+    assert_eq!(back, seed, "{label}: moving back changed a bound");
+    assert_eq!(
+        restored, seed,
+        "{label}: restoring the depth changed a bound"
+    );
+    assert_ne!(moved, seed, "{label}: the move changed no bound");
+    assert_eq!(measured, warm, "{label}");
 }

@@ -42,7 +42,8 @@
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-use wnoc_conformance::{Campaign, Fleet};
+use wnoc_bench::{dimension_campaign, Args};
+use wnoc_conformance::Fleet;
 
 fn main() {
     // This binary gates CI, so misconfiguration must be loud: unknown flags
@@ -55,108 +56,39 @@ fn main() {
     let mut seed: u64 = 7;
     let mut shards: usize = default_parallelism;
     let mut workers: usize = default_parallelism;
-    let mut buffer_depths = false;
-    let mut vc_sweep = false;
-    let mut bursty_sweep = false;
-    let mut fault_sweep = false;
+    let mut dimension: Option<&'static str> = None;
     let mut report_path: Option<String> = None;
     let mut fresh = false;
     let mut halt_after: Option<usize> = None;
     let mut shard_timeout_secs: Option<u64> = None;
     let mut worker_shard: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        };
+    let mut args = Args::from_env(
+        "expt-campaign --dir DIR [--scenarios N] [--seed S] [--shards K] [--workers W] \
+         [--buffer-depths | --vc-sweep | --bursty-sweep | --fault-sweep] \
+         [--report PATH] [--fresh] [--halt-after-shards N] [--shard-timeout-secs T]\n\
+         exit codes: 0 pass, 1 violations or campaign error, 2 usage error, \
+         3 halted early by --halt-after-shards (resumable — re-invoke with the same flags)",
+    );
+    while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--dir" => dir = Some(value("--dir")),
-            "--scenarios" => {
-                scenarios = value("--scenarios")
-                    .parse()
-                    .expect("--scenarios takes a number");
-            }
-            "--seed" => seed = value("--seed").parse().expect("--seed takes a number"),
-            "--shards" => {
-                shards = value("--shards").parse().expect("--shards takes a number");
-            }
-            "--workers" => {
-                workers = value("--workers")
-                    .parse()
-                    .expect("--workers takes a number");
-            }
-            "--buffer-depths" => buffer_depths = true,
-            "--vc-sweep" => vc_sweep = true,
-            "--bursty-sweep" => bursty_sweep = true,
-            "--fault-sweep" => fault_sweep = true,
-            "--report" => report_path = Some(value("--report")),
+            "--dir" => dir = Some(args.value(&flag)),
+            "--scenarios" => scenarios = args.number(&flag),
+            "--seed" => seed = args.number(&flag),
+            "--shards" => shards = args.number(&flag),
+            "--workers" => workers = args.number(&flag),
+            "--report" => report_path = Some(args.value(&flag)),
             "--fresh" => fresh = true,
-            "--halt-after-shards" => {
-                halt_after = Some(
-                    value("--halt-after-shards")
-                        .parse()
-                        .expect("--halt-after-shards takes a number"),
-                );
-            }
-            "--shard-timeout-secs" => {
-                shard_timeout_secs = Some(
-                    value("--shard-timeout-secs")
-                        .parse()
-                        .expect("--shard-timeout-secs takes a number of seconds"),
-                );
-            }
-            "--worker-shard" => {
-                worker_shard = Some(
-                    value("--worker-shard")
-                        .parse()
-                        .expect("--worker-shard takes a number"),
-                );
-            }
-            unknown => {
-                eprintln!(
-                    "unknown argument {unknown}; usage: \
-                     expt-campaign --dir DIR [--scenarios N] [--seed S] \
-                     [--shards K] [--workers W] \
-                     [--buffer-depths | --vc-sweep | --bursty-sweep | --fault-sweep] \
-                     [--report PATH] [--fresh] [--halt-after-shards N] \
-                     [--shard-timeout-secs T]\n\
-                     exit codes: 0 pass, 1 violations or campaign error, \
-                     2 usage error, 3 halted early by --halt-after-shards \
-                     (resumable — re-invoke with the same flags)"
-                );
-                std::process::exit(2);
-            }
+            "--halt-after-shards" => halt_after = Some(args.number(&flag)),
+            "--shard-timeout-secs" => shard_timeout_secs = Some(args.number(&flag)),
+            "--worker-shard" => worker_shard = Some(args.number(&flag)),
+            other => args.dimension_flag(&mut dimension, other),
         }
     }
     let Some(dir) = dir else {
-        eprintln!("expt-campaign requires --dir DIR (the campaign checkpoint directory)");
-        std::process::exit(2);
+        args.usage_error("expt-campaign requires --dir DIR (the campaign checkpoint directory)");
     };
-    if [buffer_depths, vc_sweep, bursty_sweep, fault_sweep]
-        .iter()
-        .filter(|&&f| f)
-        .count()
-        > 1
-    {
-        eprintln!(
-            "--buffer-depths, --vc-sweep, --bursty-sweep and --fault-sweep are \
-             mutually exclusive"
-        );
-        std::process::exit(2);
-    }
 
-    let campaign = if buffer_depths {
-        Campaign::buffer_sweep(seed, scenarios)
-    } else if vc_sweep {
-        Campaign::vc_sweep(seed, scenarios)
-    } else if bursty_sweep {
-        Campaign::bursty_sweep(seed, scenarios)
-    } else if fault_sweep {
-        Campaign::fault_sweep(seed, scenarios)
-    } else {
-        Campaign::new(seed, scenarios)
-    };
+    let campaign = dimension_campaign(dimension, seed, scenarios);
     let mut fleet = Fleet::new(campaign, shards, &dir);
     if let Some(secs) = shard_timeout_secs {
         fleet = fleet.with_shard_timeout(std::time::Duration::from_secs(secs));
@@ -196,17 +128,8 @@ fn main() {
             .arg("--worker-shard")
             .arg(range.index.to_string())
             .stdout(Stdio::null());
-        if buffer_depths {
-            command.arg("--buffer-depths");
-        }
-        if vc_sweep {
-            command.arg("--vc-sweep");
-        }
-        if bursty_sweep {
-            command.arg("--bursty-sweep");
-        }
-        if fault_sweep {
-            command.arg("--fault-sweep");
+        if let Some(flag) = dimension {
+            command.arg(flag);
         }
         command.spawn()
     };

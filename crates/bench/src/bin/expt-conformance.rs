@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use wnoc_conformance::Campaign;
+use wnoc_bench::{dimension_campaign, Args};
 
 fn main() {
     // This binary gates CI, so misconfiguration must be loud: unknown flags
@@ -36,69 +36,23 @@ fn main() {
     let mut threads: usize = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut buffer_depths = false;
-    let mut vc_sweep = false;
-    let mut bursty_sweep = false;
-    let mut fault_sweep = false;
+    let mut dimension: Option<&'static str> = None;
     let mut report_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        };
+    let mut args = Args::from_env(
+        "expt-conformance [--scenarios N] [--seed S] [--threads T] \
+         [--buffer-depths | --vc-sweep | --bursty-sweep | --fault-sweep] [--report PATH]",
+    );
+    while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--scenarios" => {
-                scenarios = value("--scenarios")
-                    .parse()
-                    .expect("--scenarios takes a number");
-            }
-            "--seed" => seed = value("--seed").parse().expect("--seed takes a number"),
-            "--threads" => {
-                threads = value("--threads")
-                    .parse()
-                    .expect("--threads takes a number");
-            }
-            "--buffer-depths" => buffer_depths = true,
-            "--vc-sweep" => vc_sweep = true,
-            "--bursty-sweep" => bursty_sweep = true,
-            "--fault-sweep" => fault_sweep = true,
-            "--report" => report_path = Some(value("--report")),
-            unknown => {
-                eprintln!(
-                    "unknown argument {unknown}; usage: \
-                     expt-conformance [--scenarios N] [--seed S] [--threads T] \
-                     [--buffer-depths | --vc-sweep | --bursty-sweep | --fault-sweep] \
-                     [--report PATH]"
-                );
-                std::process::exit(2);
-            }
+            "--scenarios" => scenarios = args.number(&flag),
+            "--seed" => seed = args.number(&flag),
+            "--threads" => threads = args.number(&flag),
+            "--report" => report_path = Some(args.value(&flag)),
+            other => args.dimension_flag(&mut dimension, other),
         }
     }
-    if [buffer_depths, vc_sweep, bursty_sweep, fault_sweep]
-        .iter()
-        .filter(|&&f| f)
-        .count()
-        > 1
-    {
-        eprintln!(
-            "--buffer-depths, --vc-sweep, --bursty-sweep and --fault-sweep are \
-             mutually exclusive"
-        );
-        std::process::exit(2);
-    }
 
-    let campaign = if buffer_depths {
-        Campaign::buffer_sweep(seed, scenarios)
-    } else if vc_sweep {
-        Campaign::vc_sweep(seed, scenarios)
-    } else if bursty_sweep {
-        Campaign::bursty_sweep(seed, scenarios)
-    } else if fault_sweep {
-        Campaign::fault_sweep(seed, scenarios)
-    } else {
-        Campaign::new(seed, scenarios)
-    };
+    let campaign = dimension_campaign(dimension, seed, scenarios);
     let start = Instant::now();
     let report = match campaign.run(threads) {
         Ok(report) => report,

@@ -39,20 +39,20 @@
 //!
 //! ```text
 //! expt-dse [--candidates N] [--seed S] [--restarts R] [--spot K]
-//!          [--bench] [--scratch-sample M] [--out PATH] [--baseline PATH]
+//!          [--bench] [--scratch-sample M] [--out PATH]
 //! ```
 //!
 //! Defaults: 1 000 000 candidates, seed 7, 4 restarts, 5 spot checks.  The
 //! default mode prints a deterministic report (golden-snapshotted as
 //! `tests/golden/expt-dse.txt`; timing lines carry `took` so the snapshot
-//! filters them).  `--bench` additionally replays a sample of the identical
-//! candidate walk through a from-scratch mirror — every candidate rebuilds
-//! the flow set and the full oracle suite, the per-scenario work of the
-//! conformance campaigns — and writes `BENCH_dse.json`; the run fails below
-//! 10× speedup, and with `--baseline PATH` also on a >20% candidates/sec
-//! regression against the committed baseline.  A preemptive-only scratch
-//! rate (rebuilding just the oracle the objective queries) is reported
-//! alongside for scale.
+//! filters them).  `--bench` additionally replays the first `M` candidates
+//! of restart 0 through two engine-free climbers — one rebuilds the flow set
+//! and the full oracle suite per candidate (the per-scenario work of the
+//! conformance campaigns), the other only the preemptive oracle the
+//! objective queries — and writes `BENCH_dse.json`.  The run fails below
+//! 10× speedup over the suite rebuild, a ratio measured on one host and so
+//! portable across hosts, and when either replay's `(wctt, cost, kept)`
+//! sequence leaves the engine walk's.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -60,6 +60,7 @@ use std::time::Instant;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use wnoc_bench::Args;
 use wnoc_core::analysis::oracle::{oracle_suite_with_vcs, WcttBoundModel};
 use wnoc_core::analysis::{Analysis, IncrementalAnalysis, Mutation, PreemptiveOracle};
 use wnoc_core::flow::FlowSet;
@@ -182,19 +183,20 @@ fn archive_insert(archive: &mut Vec<ParetoPoint>, point: ParetoPoint) -> bool {
     true
 }
 
-/// The worst per-thread round-trip bound of the engine's current design.
-fn round_trip_wctt(engine: &mut IncrementalAnalysis) -> u64 {
-    let mut worst = 0u64;
-    for thread in 0..THREADS {
-        let request = engine
-            .message_bound(Analysis::Preemptive, FlowId(2 * thread), REQUEST_FLITS)
-            .expect("request flow bound");
-        let response = engine
-            .message_bound(Analysis::Preemptive, FlowId(2 * thread + 1), RESPONSE_FLITS)
-            .expect("response flow bound");
-        worst = worst.max(request.saturating_add(response));
-    }
-    worst
+/// The worst per-thread round trip, request plus response message bound,
+/// given each flow's message bound: the one objective every evaluator
+/// answers.
+fn round_trip(mut message_bound: impl FnMut(FlowId, u32) -> Option<u64>) -> u64 {
+    (0..THREADS)
+        .map(|thread| {
+            let request =
+                message_bound(FlowId(2 * thread), REQUEST_FLITS).expect("request flow bound");
+            let response =
+                message_bound(FlowId(2 * thread + 1), RESPONSE_FLITS).expect("response flow bound");
+            request.saturating_add(response)
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Request/response pairs of a placement, each thread against its nearest
@@ -209,6 +211,121 @@ fn placement_pairs(mesh: &Mesh, banks: &[Coord], cores: &[Coord]) -> Vec<(NodeId
         pairs.push((bank_id, core_id));
     }
     pairs
+}
+
+/// How a climber holds its candidate design and evaluates it.
+trait Evaluator {
+    /// The candidate's buffer plan.
+    fn buffers(&self) -> &BufferConfig;
+    /// Re-pairs `thread`'s request and response flows as `core` ↔ `bank`.
+    fn move_thread(&mut self, thread: usize, core: NodeId, bank: NodeId);
+    /// Sets the depth of `(node, port)` to `depth` flits.
+    fn set_depth(&mut self, node: NodeId, port: Port, depth: u32);
+    /// The candidate's worst per-thread round-trip WCTT.
+    fn round_trip_wctt(&mut self) -> u64;
+}
+
+/// The explorer proper: every candidate is a mutation of the engine, and
+/// only the terms it invalidates are recomputed.
+impl Evaluator for IncrementalAnalysis {
+    fn buffers(&self) -> &BufferConfig {
+        IncrementalAnalysis::buffers(self)
+    }
+
+    fn move_thread(&mut self, thread: usize, core: NodeId, bank: NodeId) {
+        self.apply(&Mutation::MoveFlow {
+            id: FlowId(2 * thread),
+            src: core,
+            dst: bank,
+        })
+        .expect("legal request move");
+        self.apply(&Mutation::MoveFlow {
+            id: FlowId(2 * thread + 1),
+            src: bank,
+            dst: core,
+        })
+        .expect("legal response move");
+    }
+
+    fn set_depth(&mut self, node: NodeId, port: Port, depth: u32) {
+        self.apply(&Mutation::SetBufferDepth { node, port, depth })
+            .expect("legal depth");
+    }
+
+    fn round_trip_wctt(&mut self) -> u64 {
+        round_trip(|id, size| self.message_bound(Analysis::Preemptive, id, size))
+    }
+}
+
+/// What a from-scratch evaluation rebuilds for every candidate.
+#[derive(Clone, Copy)]
+enum Rebuild {
+    /// The whole oracle suite: the per-scenario work of the conformance
+    /// campaigns, and the from-scratch equivalent of the all-analysis state
+    /// the engine keeps consistent at every candidate.
+    Suite,
+    /// Only the preemptive oracle, the single analysis the objective
+    /// queries: the cheaper comparator, reported for scale.
+    PreemptiveOnly,
+}
+
+impl Rebuild {
+    fn name(self) -> &'static str {
+        match self {
+            Rebuild::Suite => "suite",
+            Rebuild::PreemptiveOnly => "preemptive-only",
+        }
+    }
+}
+
+/// An engine-free evaluator: the candidate is plain endpoint pairs and a
+/// buffer plan, and every evaluation rebuilds the flow set and `rebuild`'s
+/// analysis state, as a non-incremental explorer would.
+struct Scratch {
+    mesh: Mesh,
+    config: NocConfig,
+    pairs: Vec<(NodeId, NodeId)>,
+    buffers: BufferConfig,
+    rebuild: Rebuild,
+}
+
+impl Evaluator for Scratch {
+    fn buffers(&self) -> &BufferConfig {
+        &self.buffers
+    }
+
+    fn move_thread(&mut self, thread: usize, core: NodeId, bank: NodeId) {
+        self.pairs[2 * thread] = (core, bank);
+        self.pairs[2 * thread + 1] = (bank, core);
+    }
+
+    fn set_depth(&mut self, node: NodeId, port: Port, depth: u32) {
+        self.buffers = self
+            .buffers
+            .with_buffer_depth(&self.mesh, node, port, depth);
+    }
+
+    fn round_trip_wctt(&mut self) -> u64 {
+        let flows =
+            FlowSet::from_pairs(&self.mesh, self.pairs.iter().copied()).expect("scratch flows");
+        let vcs = VcConfig::single();
+        let mut oracle: Box<dyn WcttBoundModel> = match self.rebuild {
+            Rebuild::Suite => {
+                oracle_suite_with_vcs(&flows, &self.config, self.mesh, &self.buffers, vcs)
+                    .expect("scratch suite")
+                    .into_iter()
+                    .find(|o| o.name() == "preemptive")
+                    .expect("suite has preemptive oracle")
+            }
+            Rebuild::PreemptiveOnly => Box::new(PreemptiveOracle::new(
+                &flows,
+                &self.config,
+                &self.buffers,
+                vcs,
+            )),
+        };
+        round_trip(|id, size| oracle.message_bound(id, size))
+    }
 }
 
 /// One proposed mutation step, with enough context to revert it.
@@ -229,46 +346,42 @@ enum Step {
     },
 }
 
-/// Proposes one step from `rng`: 70% placement moves, 30% depth changes.
-/// `None` when 32 draws found no free target node (practically never on the
-/// 16×16 platform).  Shared by the engine climber and the from-scratch
-/// mirror so both consume identical random streams.
-fn propose_step(
-    mesh: &Mesh,
-    placement: &[Coord],
-    blocked: &HashSet<Coord>,
-    buffers: &BufferConfig,
-    rng: &mut ChaCha8Rng,
-) -> Option<Step> {
-    if rng.gen_range(0u32..10) < 7 {
-        let thread = rng.gen_range(0usize..THREADS);
-        for _ in 0..32 {
-            let to = Coord::new(rng.gen_range(0..SIDE), rng.gen_range(0..SIDE));
-            if !blocked.contains(&to) {
-                return Some(Step::Move {
-                    thread,
-                    from: placement[thread],
-                    to,
-                });
-            }
+impl Step {
+    /// The step that undoes this one.
+    fn inverse(&self) -> Step {
+        match *self {
+            Step::Move { thread, from, to } => Step::Move {
+                thread,
+                from: to,
+                to: from,
+            },
+            Step::Depth {
+                node,
+                port,
+                from,
+                to,
+            } => Step::Depth {
+                node,
+                port,
+                from: to,
+                to: from,
+            },
         }
-        None
-    } else {
-        let node = NodeId(rng.gen_range(0usize..mesh.router_count()));
-        let port = Port::ALL[rng.gen_range(0usize..Port::ALL.len())];
-        let to = DEPTH_CHOICES[rng.gen_range(0usize..DEPTH_CHOICES.len())];
-        Some(Step::Depth {
-            node,
-            port,
-            from: buffers.depth(node, port),
-            to,
-        })
     }
 }
 
-/// The hill-climbing state of one restart.
-struct Climber {
-    engine: IncrementalAnalysis,
+/// The proposal stream of restart `restart`.  The from-scratch replays draw
+/// restart 0's, so they walk the engine's first candidates.
+fn restart_rng(seed: u64, restart: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed ^ (restart as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The hill-climbing state of one walk, over any [`Evaluator`]: the bounds
+/// are bit-identical across evaluators, so from one seed every evaluator
+/// walks the same candidates and makes the same accept decisions.
+struct Climber<E> {
+    design: E,
+    mesh: Mesh,
     placement: Vec<Coord>,
     /// Nodes a move may not target: occupied cores plus the bank nodes.
     blocked: HashSet<Coord>,
@@ -276,230 +389,134 @@ struct Climber {
     /// Running total buffer cost (kept by delta; rebuilding it per candidate
     /// would dwarf the incremental evaluation).
     cost: u64,
-    /// Current scalarized score under the restart's weights.
+    /// Current scalarized score under the walk's weights.
     score: u128,
     weights: (u128, u128),
 }
 
-impl Climber {
+impl<E: Evaluator> Climber<E> {
+    /// A climber seeded on `cores` with every buffer at the configured
+    /// depth; `build` makes the evaluator from the seed's flow endpoints and
+    /// buffer plan.
     fn new(
-        mesh: &Mesh,
+        mesh: Mesh,
         config: &NocConfig,
         banks: &[Coord],
         cores: &[Coord],
         weights: (u128, u128),
+        build: impl FnOnce(Vec<(NodeId, NodeId)>, BufferConfig) -> E,
     ) -> Self {
-        let pairs = placement_pairs(mesh, banks, cores);
-        let flows = FlowSet::from_pairs(mesh, pairs).expect("placement flows");
-        let buffers = BufferConfig::uniform(config.input_buffer_flits);
-        let mut engine = IncrementalAnalysis::new(&flows, config, &buffers, VcConfig::single())
-            .expect("valid seed design");
+        let mut design = build(
+            placement_pairs(&mesh, banks, cores),
+            BufferConfig::uniform(config.input_buffer_flits),
+        );
         let cost = u64::from(config.input_buffer_flits)
             * mesh.router_count() as u64
             * Port::ALL.len() as u64;
-        let wctt = round_trip_wctt(&mut engine);
-        let score = weights.0 * u128::from(wctt) + weights.1 * u128::from(cost);
+        let wctt = design.round_trip_wctt();
         let mut blocked: HashSet<Coord> = cores.iter().copied().collect();
         blocked.extend(banks.iter().copied());
         Self {
-            engine,
+            design,
+            mesh,
             placement: cores.to_vec(),
             blocked,
             banks: banks.to_vec(),
             cost,
-            score,
+            score: weights.0 * u128::from(wctt) + weights.1 * u128::from(cost),
             weights,
         }
     }
 
-    fn propose(&self, mesh: &Mesh, rng: &mut ChaCha8Rng) -> Option<Step> {
-        propose_step(
-            mesh,
-            &self.placement,
-            &self.blocked,
-            self.engine.buffers(),
-            rng,
-        )
+    /// Proposes one step from `rng`: 70% placement moves, 30% depth
+    /// changes.  `None` when 32 draws found no free target node (practically
+    /// never on the 16×16 platform).
+    fn propose(&self, rng: &mut ChaCha8Rng) -> Option<Step> {
+        if rng.gen_range(0u32..10) < 7 {
+            let thread = rng.gen_range(0usize..THREADS);
+            for _ in 0..32 {
+                let to = Coord::new(rng.gen_range(0..SIDE), rng.gen_range(0..SIDE));
+                if !self.blocked.contains(&to) {
+                    return Some(Step::Move {
+                        thread,
+                        from: self.placement[thread],
+                        to,
+                    });
+                }
+            }
+            None
+        } else {
+            let node = NodeId(rng.gen_range(0usize..self.mesh.router_count()));
+            let port = Port::ALL[rng.gen_range(0usize..Port::ALL.len())];
+            let to = DEPTH_CHOICES[rng.gen_range(0usize..DEPTH_CHOICES.len())];
+            Some(Step::Depth {
+                node,
+                port,
+                from: self.design.buffers().depth(node, port),
+                to,
+            })
+        }
     }
 
-    fn apply_move(&mut self, thread: usize, core: Coord) {
-        let mesh = *self.engine.flows().mesh();
-        let bank = nearest_bank(&self.banks, core);
-        let bank_id = mesh.node_id(bank).expect("bank on mesh");
-        let core_id = mesh.node_id(core).expect("core on mesh");
-        self.engine
-            .apply(&Mutation::MoveFlow {
-                id: FlowId(2 * thread),
-                src: core_id,
-                dst: bank_id,
-            })
-            .expect("legal request move");
-        self.engine
-            .apply(&Mutation::MoveFlow {
-                id: FlowId(2 * thread + 1),
-                src: bank_id,
-                dst: core_id,
-            })
-            .expect("legal response move");
-        self.blocked.remove(&self.placement[thread]);
-        self.blocked.insert(core);
-        self.placement[thread] = core;
+    /// Applies `step` to the design, the placement and the running cost.
+    fn apply(&mut self, step: &Step) {
+        match *step {
+            Step::Move { thread, to, .. } => {
+                let bank = nearest_bank(&self.banks, to);
+                let core_id = self.mesh.node_id(to).expect("core on mesh");
+                let bank_id = self.mesh.node_id(bank).expect("bank on mesh");
+                self.design.move_thread(thread, core_id, bank_id);
+                self.blocked.remove(&self.placement[thread]);
+                self.blocked.insert(to);
+                self.placement[thread] = to;
+            }
+            Step::Depth {
+                node,
+                port,
+                from,
+                to,
+            } => {
+                self.design.set_depth(node, port, to);
+                self.cost = self.cost - u64::from(from) + u64::from(to);
+            }
+        }
     }
 
     /// Applies `step`, evaluates the candidate, and keeps or reverts it by
     /// hill-climbing on the scalarized score.  Returns the candidate's
-    /// objectives (evaluated either way — rejected candidates still feed the
-    /// Pareto archive).
+    /// objectives and whether it was kept (rejected candidates still feed
+    /// the Pareto archive).
     fn step(&mut self, step: &Step) -> (u64, u64, bool) {
-        match *step {
-            Step::Move { thread, to, .. } => self.apply_move(thread, to),
-            Step::Depth {
-                node,
-                port,
-                to,
-                from,
-                ..
-            } => {
-                self.engine
-                    .apply(&Mutation::SetBufferDepth {
-                        node,
-                        port,
-                        depth: to,
-                    })
-                    .expect("legal depth");
-                self.cost = self.cost - u64::from(from) + u64::from(to);
-            }
-        }
-        let wctt = round_trip_wctt(&mut self.engine);
+        self.apply(step);
+        let wctt = self.design.round_trip_wctt();
         let cost = self.cost;
         let score = self.weights.0 * u128::from(wctt) + self.weights.1 * u128::from(cost);
         let accept = score <= self.score;
         if accept {
             self.score = score;
         } else {
-            match *step {
-                Step::Move { thread, from, .. } => self.apply_move(thread, from),
-                Step::Depth {
-                    node,
-                    port,
-                    from,
-                    to,
-                    ..
-                } => {
-                    self.engine
-                        .apply(&Mutation::SetBufferDepth {
-                            node,
-                            port,
-                            depth: from,
-                        })
-                        .expect("legal depth revert");
-                    self.cost = self.cost - u64::from(to) + u64::from(from);
-                }
-            }
+            self.apply(&step.inverse());
         }
         (wctt, cost, accept)
     }
-}
 
-/// The from-scratch mirror of [`Climber`]: identical proposal stream and
-/// accept logic (the bounds are bit-identical, so the walk is the same), but
-/// no engine — candidate state is plain endpoint pairs and a buffer plan,
-/// and every evaluation rebuilds analysis state from scratch.
-struct Mirror {
-    placement: Vec<Coord>,
-    blocked: HashSet<Coord>,
-    banks: Vec<Coord>,
-    pairs: Vec<(NodeId, NodeId)>,
-    buffers: BufferConfig,
-    cost: u64,
-    score: u128,
-    weights: (u128, u128),
-}
-
-impl Mirror {
-    fn new(
-        mesh: &Mesh,
-        config: &NocConfig,
-        banks: &[Coord],
-        cores: &[Coord],
-        weights: (u128, u128),
-        seed_wctt: u64,
-    ) -> Self {
-        let pairs = placement_pairs(mesh, banks, cores);
-        let buffers = BufferConfig::uniform(config.input_buffer_flits);
-        let cost = u64::from(config.input_buffer_flits)
-            * mesh.router_count() as u64
-            * Port::ALL.len() as u64;
-        let score = weights.0 * u128::from(seed_wctt) + weights.1 * u128::from(cost);
-        let mut blocked: HashSet<Coord> = cores.iter().copied().collect();
-        blocked.extend(banks.iter().copied());
-        Self {
-            placement: cores.to_vec(),
-            blocked,
-            banks: banks.to_vec(),
-            pairs,
-            buffers,
-            cost,
-            score,
-            weights,
-        }
-    }
-
-    fn apply_move(&mut self, mesh: &Mesh, thread: usize, core: Coord) {
-        let bank = nearest_bank(&self.banks, core);
-        let bank_id = mesh.node_id(bank).expect("bank on mesh");
-        let core_id = mesh.node_id(core).expect("core on mesh");
-        self.pairs[2 * thread] = (core_id, bank_id);
-        self.pairs[2 * thread + 1] = (bank_id, core_id);
-        self.blocked.remove(&self.placement[thread]);
-        self.blocked.insert(core);
-        self.placement[thread] = core;
-    }
-
-    /// Applies `step`, evaluates through `evaluate` (the from-scratch
-    /// rebuild under measurement), and keeps or reverts exactly like the
-    /// engine climber.
-    fn step(
+    /// Proposes and evaluates `budget` candidates drawn from `rng`, handing
+    /// the evaluator and each candidate's `(wctt, cost, kept)` to `visit`.
+    fn walk(
         &mut self,
-        mesh: &Mesh,
-        step: &Step,
-        evaluate: impl Fn(&[(NodeId, NodeId)], &BufferConfig) -> u64,
-    ) -> (u64, u64, bool) {
-        match *step {
-            Step::Move { thread, to, .. } => self.apply_move(mesh, thread, to),
-            Step::Depth {
-                node,
-                port,
-                to,
-                from,
-                ..
-            } => {
-                self.buffers = self.buffers.with_buffer_depth(mesh, node, port, to);
-                self.cost = self.cost - u64::from(from) + u64::from(to);
-            }
+        rng: &mut ChaCha8Rng,
+        budget: u64,
+        mut visit: impl FnMut(&E, (u64, u64, bool)),
+    ) {
+        let mut steps = 0u64;
+        while steps < budget {
+            let Some(step) = self.propose(rng) else {
+                continue;
+            };
+            let candidate = self.step(&step);
+            steps += 1;
+            visit(&self.design, candidate);
         }
-        let wctt = evaluate(&self.pairs, &self.buffers);
-        let cost = self.cost;
-        let score = self.weights.0 * u128::from(wctt) + self.weights.1 * u128::from(cost);
-        let accept = score <= self.score;
-        if accept {
-            self.score = score;
-        } else {
-            match *step {
-                Step::Move { thread, from, .. } => self.apply_move(mesh, thread, from),
-                Step::Depth {
-                    node,
-                    port,
-                    from,
-                    to,
-                    ..
-                } => {
-                    self.buffers = self.buffers.with_buffer_depth(mesh, node, port, from);
-                    self.cost = self.cost - u64::from(to) + u64::from(from);
-                }
-            }
-        }
-        (wctt, cost, accept)
     }
 }
 
@@ -578,60 +595,6 @@ fn differential_sweep(engine: &mut IncrementalAnalysis) -> usize {
     comparisons
 }
 
-/// Full recompute of a candidate: rebuild the flow set and the whole oracle
-/// suite — the per-scenario work of the conformance campaigns, and the
-/// from-scratch equivalent of the all-analysis state the engine keeps
-/// consistent at every candidate — then answer the objective from it.
-fn scratch_suite_round_trip(
-    mesh: &Mesh,
-    config: &NocConfig,
-    pairs: &[(NodeId, NodeId)],
-    buffers: &BufferConfig,
-) -> u64 {
-    let flows = FlowSet::from_pairs(mesh, pairs.iter().copied()).expect("scratch flows");
-    let mut suite = oracle_suite_with_vcs(&flows, config, *mesh, buffers, VcConfig::single())
-        .expect("scratch suite");
-    let oracle = suite
-        .iter_mut()
-        .find(|o| o.name() == "preemptive")
-        .expect("suite has preemptive oracle");
-    let mut worst = 0u64;
-    for thread in 0..THREADS {
-        let request = oracle
-            .message_bound(FlowId(2 * thread), REQUEST_FLITS)
-            .expect("request bound");
-        let response = oracle
-            .message_bound(FlowId(2 * thread + 1), RESPONSE_FLITS)
-            .expect("response bound");
-        worst = worst.max(request.saturating_add(response));
-    }
-    worst
-}
-
-/// Narrow from-scratch comparator: rebuild only the preemptive oracle (the
-/// single analysis the objective queries).  Reported alongside the suite
-/// rate so the cheaper comparator is visible too.
-fn scratch_preemptive_round_trip(
-    mesh: &Mesh,
-    config: &NocConfig,
-    pairs: &[(NodeId, NodeId)],
-    buffers: &BufferConfig,
-) -> u64 {
-    let flows = FlowSet::from_pairs(mesh, pairs.iter().copied()).expect("scratch flows");
-    let mut oracle = PreemptiveOracle::new(&flows, config, buffers, VcConfig::single());
-    let mut worst = 0u64;
-    for thread in 0..THREADS {
-        let request = oracle
-            .message_bound(FlowId(2 * thread), REQUEST_FLITS)
-            .expect("request bound");
-        let response = oracle
-            .message_bound(FlowId(2 * thread + 1), RESPONSE_FLITS)
-            .expect("response bound");
-        worst = worst.max(request.saturating_add(response));
-    }
-    worst
-}
-
 /// Peak resident set size in kilobytes, from `/proc/self/status` (`VmHWM`).
 fn peak_rss_kb() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
@@ -660,42 +623,6 @@ fn absolute(path: &str) -> String {
         .map_or_else(|| path.to_owned(), |p| p.display().to_string())
 }
 
-/// Extracts a numeric field from the flat JSON this binary writes.
-fn json_number(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let start = json.find(&key)? + key.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Prints `problem` and the usage line to stderr and exits with status 2.
-fn usage_error(problem: &str) -> ! {
-    eprintln!(
-        "{problem}; usage: expt-dse [--candidates N] [--seed S] [--restarts R] [--spot K] \
-         [--bench] [--scratch-sample M] [--out PATH] [--baseline PATH]"
-    );
-    std::process::exit(2);
-}
-
-/// The numeric value of `flag`, or a usage error.
-fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, not {value:?}")))
-}
-
-/// The numeric value of `flag`, which must be at least 1, or a usage error.
-fn positive<T: std::str::FromStr + Default + PartialOrd>(flag: &str, value: String) -> T {
-    let n: T = number(flag, value);
-    if n <= T::default() {
-        usage_error(&format!("{flag} must be at least 1"));
-    }
-    n
-}
-
 fn main() {
     let mut candidates: u64 = 1_000_000;
     let mut seed: u64 = 7;
@@ -704,23 +631,20 @@ fn main() {
     let mut bench = false;
     let mut scratch_sample: u64 = 200;
     let mut out = String::from("BENCH_dse.json");
-    let mut baseline: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
-        };
+    let mut args = Args::from_env(
+        "expt-dse [--candidates N] [--seed S] [--restarts R] [--spot K] \
+         [--bench] [--scratch-sample M] [--out PATH]",
+    );
+    while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--candidates" => candidates = number(&flag, value()),
-            "--seed" => seed = number(&flag, value()),
-            "--restarts" => restarts = positive(&flag, value()),
-            "--spot" => spot = number(&flag, value()),
+            "--candidates" => candidates = args.number(&flag),
+            "--seed" => seed = args.number(&flag),
+            "--restarts" => restarts = args.positive(&flag),
+            "--spot" => spot = args.number(&flag),
             "--bench" => bench = true,
-            "--scratch-sample" => scratch_sample = positive(&flag, value()),
-            "--out" => out = value(),
-            "--baseline" => baseline = Some(value()),
-            unknown => usage_error(&format!("unknown argument {unknown}")),
+            "--scratch-sample" => scratch_sample = args.positive(&flag),
+            "--out" => out = args.value(&flag),
+            unknown => args.usage_error(&format!("unknown argument {unknown}")),
         }
     }
 
@@ -748,15 +672,20 @@ fn main() {
     let mut archive: Vec<ParetoPoint> = Vec::new();
     let mut evaluated = 0u64;
     let mut accepted = 0u64;
+    // Restart 0's first `scratch_sample` candidates, which the from-scratch
+    // replays must walk too.
+    let mut engine_walk: Vec<(u64, u64, bool)> = Vec::new();
     let started = Instant::now();
     let mut final_engine: Option<IncrementalAnalysis> = None;
     for restart in 0..restarts {
         let placement = &placements[restart % placements.len()];
         let cores = sanitize_placement(&banks, &tile_quadrants(placement.cores()));
         let weights = WEIGHTS[restart % WEIGHTS.len()];
-        let mut climber = Climber::new(&mesh, &config, &banks, &cores, weights);
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(seed ^ (restart as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut climber = Climber::new(mesh, &config, &banks, &cores, weights, |pairs, buffers| {
+            let flows = FlowSet::from_pairs(&mesh, pairs).expect("placement flows");
+            IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single())
+                .expect("valid seed design")
+        });
         println!(
             "dse: restart {restart}: seeded from placement {} with weights \
              (wctt x{}, cost x{})",
@@ -766,26 +695,27 @@ fn main() {
         );
         let budget = candidates / restarts as u64
             + u64::from(restart < (candidates % restarts as u64) as usize);
-        let mut steps = 0u64;
-        while steps < budget {
-            let Some(step) = climber.propose(&mesh, &mut rng) else {
-                continue;
-            };
-            let (wctt, cost, kept) = climber.step(&step);
-            steps += 1;
-            evaluated += 1;
-            accepted += u64::from(kept);
-            archive_insert(
-                &mut archive,
-                ParetoPoint {
-                    wctt,
-                    cost,
-                    pairs: climber.engine.flows().pairs(),
-                    buffers: climber.engine.buffers().clone(),
-                },
-            );
-        }
-        final_engine = Some(climber.engine);
+        climber.walk(
+            &mut restart_rng(seed, restart),
+            budget,
+            |engine, (wctt, cost, kept)| {
+                evaluated += 1;
+                accepted += u64::from(kept);
+                if restart == 0 && (engine_walk.len() as u64) < scratch_sample {
+                    engine_walk.push((wctt, cost, kept));
+                }
+                archive_insert(
+                    &mut archive,
+                    ParetoPoint {
+                        wctt,
+                        cost,
+                        pairs: engine.flows().pairs(),
+                        buffers: engine.buffers().clone(),
+                    },
+                );
+            },
+        );
+        final_engine = Some(climber.design);
     }
     let elapsed = started.elapsed().as_secs_f64();
     let candidates_per_sec = evaluated as f64 / elapsed.max(1e-9);
@@ -832,70 +762,61 @@ fn main() {
         return;
     }
 
-    // From-scratch comparators replay the start of restart 0's walk — same
-    // proposal stream, same accept decisions (the bounds are bit-identical)
-    // — through the engine-free mirror, so the timed loop contains exactly
-    // what a non-incremental explorer would run per candidate.
+    // The from-scratch replays walk the start of restart 0 (same seed, same
+    // proposal stream, same accept decisions), so the timed loop contains
+    // exactly what a non-incremental explorer would run per candidate.
     let cores = sanitize_placement(&banks, &tile_quadrants(placements[0].cores()));
-    let seed_wctt = {
-        let mut seed_climber = Climber::new(&mesh, &config, &banks, &cores, WEIGHTS[0]);
-        round_trip_wctt(&mut seed_climber.engine)
-    };
-
-    let mut mirror = Mirror::new(&mesh, &config, &banks, &cores, WEIGHTS[0], seed_wctt);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let suite_started = Instant::now();
-    let mut done = 0u64;
-    while done < scratch_sample {
-        let Some(step) = propose_step(
-            &mesh,
-            &mirror.placement,
-            &mirror.blocked,
-            &mirror.buffers,
-            &mut rng,
-        ) else {
-            continue;
-        };
-        mirror.step(&mesh, &step, |pairs, buffers| {
-            scratch_suite_round_trip(&mesh, &config, pairs, buffers)
+    let mut scratch_rates = Vec::with_capacity(2);
+    let mut walk_diverged = false;
+    for rebuild in [Rebuild::Suite, Rebuild::PreemptiveOnly] {
+        let mut climber = Climber::new(
+            mesh,
+            &config,
+            &banks,
+            &cores,
+            WEIGHTS[0],
+            |pairs, buffers| Scratch {
+                mesh,
+                config,
+                pairs,
+                buffers,
+                rebuild,
+            },
+        );
+        let mut walk = Vec::with_capacity(engine_walk.len());
+        let replay_started = Instant::now();
+        climber.walk(&mut restart_rng(seed, 0), scratch_sample, |_, candidate| {
+            walk.push(candidate);
         });
-        done += 1;
+        let replay_elapsed = replay_started.elapsed().as_secs_f64();
+        let rate = scratch_sample as f64 / replay_elapsed.max(1e-9);
+        println!(
+            "bench: scratch {} rebuild took {replay_elapsed:.3}s \
+             ({rate:.0} candidates/sec) -> speedup {:.1}x",
+            rebuild.name(),
+            candidates_per_sec / rate.max(1e-9)
+        );
+        if let Some(index) = walk.iter().zip(&engine_walk).position(|(a, b)| a != b) {
+            eprintln!(
+                "bench: the scratch {} replay left the engine walk at candidate {index}: \
+                 (wctt, cost, kept) {:?} != {:?}",
+                rebuild.name(),
+                walk[index],
+                engine_walk[index]
+            );
+            walk_diverged = true;
+        }
+        scratch_rates.push(rate);
     }
-    let suite_elapsed = suite_started.elapsed().as_secs_f64();
-    let scratch_suite_per_sec = done as f64 / suite_elapsed.max(1e-9);
-
-    let mut mirror = Mirror::new(&mesh, &config, &banks, &cores, WEIGHTS[0], seed_wctt);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let preemptive_started = Instant::now();
-    let mut done = 0u64;
-    while done < scratch_sample {
-        let Some(step) = propose_step(
-            &mesh,
-            &mirror.placement,
-            &mirror.blocked,
-            &mirror.buffers,
-            &mut rng,
-        ) else {
-            continue;
-        };
-        mirror.step(&mesh, &step, |pairs, buffers| {
-            scratch_preemptive_round_trip(&mesh, &config, pairs, buffers)
-        });
-        done += 1;
-    }
-    let preemptive_elapsed = preemptive_started.elapsed().as_secs_f64();
-    let scratch_preemptive_per_sec = done as f64 / preemptive_elapsed.max(1e-9);
-
+    let (scratch_suite_per_sec, scratch_preemptive_per_sec) = (scratch_rates[0], scratch_rates[1]);
     let speedup = candidates_per_sec / scratch_suite_per_sec.max(1e-9);
     let speedup_preemptive = candidates_per_sec / scratch_preemptive_per_sec.max(1e-9);
-    println!(
-        "bench: scratch suite rebuild took {suite_elapsed:.3}s \
-         ({scratch_suite_per_sec:.0} candidates/sec) -> speedup {speedup:.1}x"
-    );
-    println!(
-        "bench: scratch preemptive-only rebuild took {preemptive_elapsed:.3}s \
-         ({scratch_preemptive_per_sec:.0} candidates/sec) -> speedup {speedup_preemptive:.1}x"
-    );
+    if !walk_diverged {
+        println!(
+            "bench: both scratch replays walk the engine's first {} candidates",
+            engine_walk.len()
+        );
+    }
 
     let rss = peak_rss_kb();
     let json = format!(
@@ -920,30 +841,8 @@ fn main() {
              (this run's bench JSON: {})",
             absolute(&out)
         );
-        std::process::exit(1);
     }
-    if let Some(path) = baseline {
-        let reference = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let reference_rate = json_number(&reference, "candidates_per_sec")
-            .unwrap_or_else(|| panic!("baseline {path} lacks candidates_per_sec"));
-        let floor = 0.8 * reference_rate;
-        println!(
-            "bench: baseline {reference_rate:.0} candidates/sec (floor {floor:.0}) from {path}"
-        );
-        if candidates_per_sec < floor {
-            eprintln!(
-                "bench: throughput regressed >20%: {candidates_per_sec:.0} < {floor:.0} \
-                 candidates/sec (baseline {reference_rate:.0})\n\
-                 bench: this run's bench JSON: {}\n\
-                 bench: committed baseline:    {}\n\
-                 bench: a legitimate hardware-class change means copying the bench JSON \
-                 over the baseline; output-shape changes are accepted via \
-                 ./scripts/regen-golden.sh, never by editing baselines",
-                absolute(&out),
-                absolute(&path)
-            );
-            std::process::exit(1);
-        }
+    if speedup < 10.0 || walk_diverged {
+        std::process::exit(1);
     }
 }

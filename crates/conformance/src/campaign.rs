@@ -296,8 +296,7 @@ impl ConformanceReport {
     }
 
     /// Total cycles the simulator executed across every scenario of the
-    /// campaign — the closed-loop kernel-throughput numerator reported by
-    /// `expt-perf-smoke` as `cycles_per_sec`.
+    /// campaign — the deterministic work behind a campaign's wall time.
     pub fn simulated_cycles(&self) -> u64 {
         self.outcomes.iter().map(|o| o.simulated_cycles).sum()
     }
@@ -472,6 +471,45 @@ impl ConformanceReport {
         out
     }
 
+    /// The `dominance scope` line: how many scenarios were held to the
+    /// dominating oracles, and why each of the rest is ordering-only.  A
+    /// scenario whose faults activate mid-run is drain-only; one whose
+    /// cycle-0 faults sever every flow observed nothing to bound; every other
+    /// unchecked scenario is WaW on a flow set that is not output-consistent.
+    /// Without a faulted class the line keeps its single-reason form.
+    fn render_dominance_scope(&self) -> String {
+        let (mut divergent, mut mid_run, mut severed) = (0usize, 0usize, 0usize);
+        for outcome in self.outcomes.iter().filter(|o| !o.dominance_checked) {
+            let faults = &outcome.scenario.faults;
+            if faults.activates_mid_run() {
+                mid_run += 1;
+            } else if !faults.is_none() && outcome.observed.count == 0 {
+                severed += 1;
+            } else {
+                divergent += 1;
+            }
+        }
+        let unchecked = divergent + mid_run + severed;
+        let reasons = if mid_run + severed == 0 {
+            "WaW on divergent flow sets".to_string()
+        } else {
+            [
+                (divergent, "WaW on divergent flow sets"),
+                (mid_run, "mid-run fault drain-only"),
+                (severed, "every flow severed at cycle 0"),
+            ]
+            .iter()
+            .filter(|(count, _)| *count > 0)
+            .map(|(count, reason)| format!("{count} {reason}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+        };
+        format!(
+            "dominance scope : {} scenarios checked, {unchecked} ordering-only ({reasons})\n",
+            self.scenario_count() - unchecked
+        )
+    }
+
     /// Renders the deterministic human-readable summary printed by
     /// `expt-conformance`.
     pub fn render(&self) -> String {
@@ -487,12 +525,7 @@ impl ConformanceReport {
             observed.count,
             self.tightness().flows
         ));
-        let checked = self.outcomes.iter().filter(|o| o.dominance_checked).count();
-        out.push_str(&format!(
-            "dominance scope : {checked} scenarios checked, {} ordering-only \
-             (WaW on divergent flow sets)\n",
-            self.scenario_count() - checked
-        ));
+        out.push_str(&self.render_dominance_scope());
         out.push_str(&format!(
             "dominance       : {} violations\n",
             self.dominance_violations()
@@ -616,6 +649,79 @@ mod tests {
         assert_eq!(report.ordering_violations(), 0);
         // The dimension must actually exercise fault injection.
         assert!(report.outcomes.iter().any(|o| !o.scenario.faults.is_none()));
+    }
+
+    /// An outcome of the core campaign's first scenario with `faults`
+    /// swapped in, one observed message and its dominance check set to
+    /// `checked`.
+    fn outcome(faults: crate::FaultChoice, checked: bool) -> ScenarioOutcome {
+        let mut scenario = Campaign::new(7, 1).scenario(0);
+        scenario.faults = faults;
+        let mut observed = LatencyStats::new();
+        observed.record(12);
+        ScenarioOutcome {
+            scenario,
+            flow_count: 1,
+            observed,
+            simulated_cycles: 1,
+            dominance_checked: checked,
+            violations: Vec::new(),
+            ordering_violations: Vec::new(),
+            tightness: TightnessSummary {
+                flows: 0,
+                mean: 0.0,
+                min: 0.0,
+                max: 0.0,
+            },
+        }
+    }
+
+    #[test]
+    fn dominance_scope_names_each_ordering_only_reason() {
+        let mid_run = crate::FaultChoice::Router {
+            seed: 3,
+            activation: 500,
+        };
+        let cycle_zero = crate::FaultChoice::Links {
+            count: 1,
+            seed: 5,
+            activation: 0,
+        };
+        let mut severed = outcome(cycle_zero, false);
+        severed.observed = LatencyStats::new();
+        let report = ConformanceReport {
+            seed: 7,
+            outcomes: vec![
+                outcome(crate::FaultChoice::None, true),
+                outcome(cycle_zero, false),
+                outcome(mid_run, false),
+                outcome(mid_run, false),
+            ],
+        };
+        assert!(report.render().contains(
+            "dominance scope : 1 scenarios checked, 3 ordering-only \
+             (1 WaW on divergent flow sets, 2 mid-run fault drain-only)\n"
+        ));
+        let report = ConformanceReport {
+            seed: 7,
+            outcomes: vec![outcome(mid_run, false), severed],
+        };
+        assert!(report.render().contains(
+            "dominance scope : 0 scenarios checked, 2 ordering-only \
+             (1 mid-run fault drain-only, 1 every flow severed at cycle 0)\n"
+        ));
+        // Without a faulted class the line keeps its single-reason form.
+        let report = ConformanceReport {
+            seed: 7,
+            outcomes: vec![
+                outcome(crate::FaultChoice::None, true),
+                outcome(crate::FaultChoice::None, false),
+            ],
+        };
+        assert!(report.render().contains(
+            "dominance scope : 1 scenarios checked, 1 ordering-only \
+             (WaW on divergent flow sets)\n"
+        ));
     }
 
     #[test]

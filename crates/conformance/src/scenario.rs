@@ -258,6 +258,18 @@ impl FaultChoice {
         *self == FaultChoice::None
     }
 
+    /// `true` when the faults activate after cycle 0.  The run then mixes
+    /// healthy-epoch and degraded-epoch traversals that no single oracle
+    /// bounds, so the scenario is drain-only: ordering checks, no dominance.
+    pub fn activates_mid_run(&self) -> bool {
+        match *self {
+            FaultChoice::None => false,
+            FaultChoice::Links { activation, .. } | FaultChoice::Router { activation, .. } => {
+                activation > 0
+            }
+        }
+    }
+
     /// Label suffix for reports; empty for the healthy default so legacy
     /// scenario labels are unchanged.
     pub fn label_suffix(&self) -> String {
@@ -510,11 +522,14 @@ pub struct ScenarioOutcome {
     /// Cycles the simulator executed for this scenario (probing window plus
     /// drain) — the numerator of campaign-level `cycles_per_sec` throughput.
     pub simulated_cycles: u64,
-    /// Whether observation dominance was asserted.  `false` only for WaW
+    /// Whether observation dominance was asserted.  `false` for WaW
     /// scenarios whose flow set is not output-consistent
     /// ([`FlowSet::is_output_consistent`]): FIFO head-of-line divergence puts
     /// such platforms outside what the weighted analysis models, so those
-    /// scenarios carry the analytic ordering checks only.
+    /// scenarios carry the analytic ordering checks only.  Also `false` for
+    /// fault scenarios that are drain-only: faults activating mid-run
+    /// ([`FaultChoice::activates_mid_run`]), or cycle-0 faults severing
+    /// every flow.
     pub dominance_checked: bool,
     /// Dominance violations (observation above a safe bound).  Empty on pass.
     pub violations: Vec<Violation>,
@@ -1033,8 +1048,7 @@ impl Scenario {
     ) -> Result<ScenarioOutcome> {
         let tree = TreeRouting::new(&plan.final_set(mesh));
         let reroute = reroute_flows(flows, &tree)?;
-        let degraded_from_start = plan.activations().iter().all(|&cycle| cycle == 0);
-        if !degraded_from_start || reroute.flows.is_empty() {
+        if self.faults.activates_mid_run() || reroute.flows.is_empty() {
             return Ok(ScenarioOutcome {
                 scenario: self.clone(),
                 flow_count: flows.len(),

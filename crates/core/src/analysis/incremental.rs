@@ -359,7 +359,7 @@ impl IncrementalAnalysis {
         buffers.validate(&mesh)?;
         let (regular, weighted, graph) = match config.arbitration {
             ArbitrationPolicy::RoundRobin => (
-                Some(RegularWcttModel::new_tracking(
+                Some(RegularWcttModel::new(
                     flows,
                     config.timing,
                     config.packetization.worst_case_contender_flits(),
